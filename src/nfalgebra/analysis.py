@@ -1,9 +1,10 @@
 """Deterministic analysis of automata.
 
 Subset construction, synchronous products, language equivalence with
-counterexamples, and bounded enumeration.  The enumeration is deliberately
-a brute-force simulation, independent of the subset construction, so the
-two can vouch for each other in tests.
+counterexamples, and bounded enumeration.  Subset construction and
+equivalence run on the automaton's cached integer kernel; the enumeration
+is deliberately a brute-force set-based simulation, independent of both,
+so they can vouch for each other in tests.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .automaton import (
     Symbol,
     UnknownSymbolError,
     Word,
+    _kernel,
     epsilon_closure,
     pad_alphabet,
     step,
@@ -98,10 +100,6 @@ def _require_valid(automaton: Automaton) -> None:
         raise InvalidAutomatonError(f"invalid automaton: {codes}")
 
 
-def _canonical(states: Iterable[StateId]) -> SubsetState:
-    return tuple(sorted(states))
-
-
 def determinize(automaton: Automaton) -> Dfa:
     """Subset construction.
 
@@ -110,23 +108,30 @@ def determinize(automaton: Automaton) -> Dfa:
     it.  The result accepts the same language as the input.
     """
     _require_valid(automaton)
-    letters = automaton.letters()
-    initial = _canonical(epsilon_closure(automaton, (automaton.initial,)))
+    kernel = _kernel(automaton)
+    subsets = {kernel.start: kernel.subset(kernel.start)}
     table: dict[tuple[SubsetState, Symbol], SubsetState] = {}
     finals: set[SubsetState] = set()
-    seen: set[SubsetState] = {initial}
-    queue: deque[SubsetState] = deque([initial])
+    queue: deque[int] = deque([kernel.start])
     while queue:
-        subset = queue.popleft()
-        if not automaton.finals.isdisjoint(subset):
-            finals.add(subset)
-        for sym in letters:
-            successor = _canonical(step(automaton, subset, sym))
-            table[(subset, sym)] = successor
-            if successor not in seen:
-                seen.add(successor)
+        mask = queue.popleft()
+        here = subsets[mask]
+        if mask & kernel.finals:
+            finals.add(here)
+        for k, sym in enumerate(kernel.letters):
+            successor = kernel.advance(mask, k)
+            there = subsets.get(successor)
+            if there is None:
+                there = subsets[successor] = kernel.subset(successor)
                 queue.append(successor)
-    return Dfa(automaton.alphabet, frozenset(seen), initial, table, frozenset(finals))
+            table[(here, sym)] = there
+    return Dfa(
+        automaton.alphabet,
+        frozenset(subsets.values()),
+        subsets[kernel.start],
+        table,
+        frozenset(finals),
+    )
 
 
 def dfa_accepts(dfa: Dfa, input_word: Iterable[Symbol]) -> bool:
@@ -210,19 +215,38 @@ def is_empty(dfa: Dfa) -> Word | None:
 def equivalent(a: Automaton, b: Automaton) -> EquivalenceVerdict:
     """Decide whether two automata accept the same language.
 
-    Both sides are padded to the union alphabet, determinized, and compared
-    through the symmetric-difference product: the languages are equal iff
-    that product is empty, and its least word otherwise serves as the
-    counterexample.
+    Both sides are padded to the union alphabet and their subset frontiers
+    are explored in pairs, breadth first with letters in canonical order,
+    stopping at the first pair on which exactly one side accepts.  This is
+    the search for the least word of the symmetric-difference product, run
+    on the fly: the languages are equal iff no such pair is reachable, and
+    otherwise the word reaching it is the shortest counterexample,
+    lexicographically least among the shortest.
     """
     _require_valid(a)
     _require_valid(b)
     union = a.alphabet | b.alphabet
-    left = determinize(pad_alphabet(a, union))
-    right = determinize(pad_alphabet(b, union))
-    difference = product(left, right, lambda x, y: x != y)
-    counterexample = is_empty(difference)
-    return EquivalenceVerdict(counterexample is None, counterexample)
+    left = _kernel(pad_alphabet(a, union))
+    right = _kernel(pad_alphabet(b, union))
+    start = (left.start, right.start)
+    parents: dict[tuple[int, int], tuple[tuple[int, int], int] | None]
+    parents = {start: None}
+    queue: deque[tuple[int, int]] = deque([start])
+    while queue:
+        pair = queue.popleft()
+        ls, rs = pair
+        if bool(ls & left.finals) != bool(rs & right.finals):
+            letters: list[Symbol] = []
+            while (back := parents[pair]) is not None:
+                pair, k = back
+                letters.append(left.letters[k])
+            return EquivalenceVerdict(False, tuple(reversed(letters)))
+        for k in range(len(left.letters)):
+            successor = (left.advance(ls, k), right.advance(rs, k))
+            if successor not in parents:
+                parents[successor] = (pair, k)
+                queue.append(successor)
+    return EquivalenceVerdict(True, None)
 
 
 def enumerate_language(

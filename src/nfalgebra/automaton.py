@@ -8,7 +8,10 @@ legal.  The transition map is sparse: a missing entry means "no
 successors".
 
 Every value here is frozen and every operation is a pure function, so the
-whole module is safe to use from any number of threads.
+whole module is safe to use from any number of threads.  Simulation runs
+on a dense integer kernel that each automaton compiles on first use and
+caches outside its fields; compiling is idempotent, so a race to compile
+needs no lock.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "EPSILON",
@@ -71,6 +74,14 @@ class Symbol:
             raise ValueError(
                 f"{EPSILON_TOKEN!r} is reserved for the empty-string symbol"
             )
+        if "#" in self.token:
+            raise ValueError(
+                f"letter token {self.token!r} contains '#', the comment mark"
+            )
+        if "," in self.token:
+            raise ValueError(
+                f"letter token {self.token!r} contains ',', the input-word separator"
+            )
 
     @property
     def is_epsilon(self) -> bool:
@@ -110,6 +121,8 @@ def check_segment(text: str, kind: str = "segment") -> None:
         raise ValueError(f"{kind} {text!r} contains whitespace")
     if "." in text:
         raise ValueError(f"{kind} {text!r} contains '.', the namespace separator")
+    if "#" in text:
+        raise ValueError(f"{kind} {text!r} contains '#', the comment mark")
 
 
 @dataclass(frozen=True, order=True)
@@ -294,12 +307,193 @@ def step(
     return epsilon_closure(automaton, moved)
 
 
-def _require_letters(automaton: Automaton, symbols: Word) -> None:
-    for symbol in symbols:
-        if symbol.is_epsilon or symbol not in automaton.alphabet:
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _closures(epsilon: list[list[int]]) -> list[int]:
+    """Empty-string closure mask of every state, by fixpoint iteration.
+
+    The edges ``elaborate`` adds run from lower to higher indices (``L``
+    before ``R``, a fork state before both operands), so visiting states
+    from the top settles them in one pass; other edges may take more.
+    """
+    closure = [1 << i for i in range(len(epsilon))]
+    changed = True
+    while changed:
+        changed = False
+        for i in reversed(range(len(epsilon))):
+            mask = closure[i]
+            for j in epsilon[i]:
+                mask |= closure[j]
+            if mask != closure[i]:
+                closure[i] = mask
+                changed = True
+    return closure
+
+
+class _Kernel:
+    """Dense integer form of one automaton, built once and cached on it.
+
+    States are numbered in sorted ``StateId`` order and letters in
+    ``symbol_key`` order, so comparing indices orders them as the values
+    do.  A set of states is an ``int`` bitmask: ``closure[i]`` is the
+    empty-string closure of state ``i`` and ``successors[k][i]`` the closed
+    successor mask of state ``i`` on letter ``k``.  Every state that occurs
+    anywhere in the automaton gets an index, declared or not, so an invalid
+    automaton simulates exactly as the set-based ``step`` does.
+
+    Nothing changes after construction except ``_moves``, which ``witness``
+    builds on first use; building is idempotent, so threads racing on it at
+    worst build it twice.
+    """
+
+    def __init__(self, automaton: Automaton) -> None:
+        everything = set(automaton.states)
+        everything.add(automaton.initial)
+        everything.update(automaton.finals)
+        for (source, _), targets in automaton.transitions.items():
+            everything.add(source)
+            everything.update(targets)
+        self.states: tuple[StateId, ...] = tuple(sorted(everything))
+        index = {s: i for i, s in enumerate(self.states)}
+        self.letters: tuple[Symbol, ...] = tuple(
+            s for s in automaton.letters() if not s.is_epsilon
+        )
+        # Keyed by token: one str hash per input letter is the whole check.
+        self.letter_index = {s.token: k for k, s in enumerate(self.letters)}
+        self.initial = index[automaton.initial]
+        self.finals = sum(1 << index[s] for s in automaton.finals)
+        self.undeclared = sum(
+            1 << i for i, s in enumerate(self.states) if s not in automaton.states
+        )
+        self.epsilon: list[list[int]] = [[] for _ in self.states]
+        self.direct: list[list[int]] = [[0] * len(self.states) for _ in self.letters]
+        for (source, symbol), targets in automaton.transitions.items():
+            if symbol.is_epsilon:
+                self.epsilon[index[source]].extend(sorted(index[t] for t in targets))
+            elif symbol.token in self.letter_index:
+                row = self.direct[self.letter_index[symbol.token]]
+                row[index[source]] = sum(1 << index[t] for t in targets)
+        self.closure = _closures(self.epsilon)
+        self.start = self.closure[self.initial]
+        self.successors = [[self.close(mask) for mask in row] for row in self.direct]
+        self._moves: tuple[list[list[tuple[int, ...]]], list[tuple[int, ...]]] | None
+        self._moves = None
+
+    def close(self, mask: int) -> int:
+        """The empty-string closure of a set of states."""
+        out = 0
+        for i in _bits(mask):
+            out |= self.closure[i]
+        return out
+
+    def advance(self, mask: int, letter_index: int) -> int:
+        """The closed successor of a closed frontier on one letter."""
+        row = self.successors[letter_index]
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= row[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def subset(self, mask: int) -> tuple[StateId, ...]:
+        """A set of states as a sorted tuple."""
+        return tuple(self.states[i] for i in _bits(mask))
+
+    def indices(self, input_word: Word) -> list[int]:
+        """Letter indices of a word; this lookup is the alphabet check."""
+        index = self.letter_index
+        try:
+            return [index[symbol.token] for symbol in input_word]
+        except KeyError as missing:
+            token = missing.args[0]
+            shown = EPSILON_TOKEN if token is None else token
             raise UnknownSymbolError(
-                f"symbol {symbol} is not a letter of the alphabet"
-            )
+                f"symbol {shown} is not a letter of the alphabet"
+            ) from None
+
+    def run(self, indices: list[int], checked: bool) -> int:
+        """The frontier after reading ``indices``; 0 once it dies.
+
+        With ``checked``, a run that starts at an undeclared state, moves
+        out of one or moves into one raises ``UnknownStateError``, at the
+        letter where ``step`` would.  Only memo misses pay for the test.
+        The memo (frontier to successor, per letter) lives for this call.
+        """
+        if checked and self.undeclared >> self.initial & 1:
+            raise UnknownStateError(f"unknown states: {self.states[self.initial]}")
+        memo: list[dict[int, int]] = [{} for _ in self.letters]
+        current = self.start
+        for k in indices:
+            if not current:
+                return 0
+            known = memo[k]
+            following = known.get(current)
+            if following is None:
+                if checked and self.undeclared:
+                    self._check_declared(current, k)
+                following = known[current] = self.advance(current, k)
+            current = following
+        return current
+
+    def _check_declared(self, mask: int, letter_index: int) -> None:
+        sources = mask & self.undeclared
+        if sources:
+            raise UnknownStateError(f"unknown state: {self.subset(sources)[0]}")
+        moved = 0
+        for i in _bits(mask):
+            moved |= self.direct[letter_index][i]
+        targets = moved & self.undeclared
+        if targets:
+            listed = ", ".join(str(s) for s in self.subset(targets))
+            raise UnknownStateError(f"unknown states: {listed}")
+
+    def moves(self) -> tuple[list[list[tuple[int, ...]]], list[tuple[int, ...]]]:
+        """The moves of ``witness``'s search, as offsets between configurations.
+
+        A configuration ``position * n + state`` moves to ``config + offset``.
+        ``moves()[0][k][i]`` lists state ``i``'s moves while letter ``k`` is
+        next, ordered by (target, empty-string before letter);
+        ``moves()[1][i]`` its empty-string moves once the input is read.
+        """
+        if self._moves is None:
+            n = len(self.states)
+            epsilon = [tuple(t - i for t in ts) for i, ts in enumerate(self.epsilon)]
+            on_letter = [
+                [
+                    tuple(
+                        t - i + n * consumed
+                        for t, consumed in sorted(
+                            [(t, 0) for t in self.epsilon[i]]
+                            + [(t, 1) for t in _bits(row[i])]
+                        )
+                    )
+                    for i in range(n)
+                ]
+                for row in self.direct
+            ]
+            self._moves = (on_letter, epsilon)
+        return self._moves
+
+
+def _kernel(automaton: Automaton) -> _Kernel:
+    """The automaton's kernel, compiled on first use.
+
+    The cache is an instance attribute outside the dataclass fields, so it
+    takes no part in ``==``, ``hash`` or ``repr``.
+    """
+    try:
+        return automaton.__dict__["_kernel"]
+    except KeyError:
+        kernel = _Kernel(automaton)
+        object.__setattr__(automaton, "_kernel", kernel)
+        return kernel
 
 
 def accepts(automaton: Automaton, input_word: Iterable[Symbol]) -> bool:
@@ -308,14 +502,8 @@ def accepts(automaton: Automaton, input_word: Iterable[Symbol]) -> bool:
     Empty-string moves are inserted freely between letters, so inputs never
     spell them out.  True iff some run over the input ends in a final state.
     """
-    input_word = tuple(input_word)
-    _require_letters(automaton, input_word)
-    current = epsilon_closure(automaton, (automaton.initial,))
-    for symbol in input_word:
-        if not current:
-            return False
-        current = step(automaton, current, symbol)
-    return not automaton.finals.isdisjoint(current)
+    kernel = _kernel(automaton)
+    return bool(kernel.run(kernel.indices(input_word), checked=True) & kernel.finals)
 
 
 @dataclass(frozen=True)
@@ -343,42 +531,39 @@ def witness(automaton: Automaton, input_word: Iterable[Symbol]) -> RunWitness | 
     empty-string moves never recur and termination is immediate.
     """
     input_word = tuple(input_word)
-    _require_letters(automaton, input_word)
-    start = (0, automaton.initial)
-    parents: dict[tuple[int, StateId], tuple[tuple[int, StateId], Symbol] | None]
-    parents = {start: None}
-    queue: deque[tuple[int, StateId]] = deque([start])
-    goal: tuple[int, StateId] | None = None
-    while queue:
-        config = queue.popleft()
-        position, current = config
-        if position == len(input_word) and current in automaton.finals:
-            goal = config
-            break
-        moves: list[tuple[tuple[int, StateId], Symbol]] = []
-        if position < len(input_word):
-            consumed = input_word[position]
-            for target in automaton.targets(current, consumed):
-                moves.append(((position + 1, target), consumed))
-        for target in automaton.targets(current, EPSILON):
-            moves.append(((position, target), EPSILON))
-        moves.sort(key=lambda move: (move[0][1], symbol_key(move[1])))
-        for successor, symbol in moves:
-            if successor not in parents:
-                parents[successor] = (config, symbol)
-                queue.append(successor)
-    if goal is None:
+    kernel = _kernel(automaton)
+    indices = kernel.indices(input_word)
+    if not kernel.run(indices, checked=False) & kernel.finals:
         return None
-    states = [goal[1]]
-    symbols: list[Symbol] = []
-    cursor = goal
+    on_letter, on_epsilon = kernel.moves()
+    n, end = len(kernel.states), len(input_word)
+    # A configuration is position * n + state; sorted moves make the first
+    # discovery of each configuration the one by the least (state, symbol).
+    # The kernel saw an accepting frontier, so a goal is reached before the
+    # queue runs dry.
+    parents: dict[int, int] = {kernel.initial: -1}
+    queue: deque[int] = deque([kernel.initial])
     while True:
-        back = parents[cursor]
-        if back is None:
-            break
-        cursor, symbol = back
-        states.append(cursor[1])
-        symbols.append(symbol)
+        config = queue.popleft()
+        position, current = divmod(config, n)
+        if position == end:
+            if kernel.finals >> current & 1:
+                break
+            offsets = on_epsilon[current]
+        else:
+            offsets = on_letter[indices[position]][current]
+        for offset in offsets:
+            successor = config + offset
+            if successor not in parents:
+                parents[successor] = config
+                queue.append(successor)
+    states = [kernel.states[current]]
+    symbols: list[Symbol] = []
+    cursor = config
+    while (back := parents[cursor]) >= 0:
+        states.append(kernel.states[back % n])
+        symbols.append(EPSILON if back // n == cursor // n else input_word[back // n])
+        cursor = back
     states.reverse()
     symbols.reverse()
     return RunWitness(tuple(states), tuple(symbols))

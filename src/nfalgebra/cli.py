@@ -319,3 +319,7 @@ def _cmd_props(args: argparse.Namespace) -> int:
         sys.stdout.write(textwrap.indent(render_automaton(first.right, "right"), "  "))
         return 1
     return 0
+
+
+if __name__ == "__main__":
+    main()

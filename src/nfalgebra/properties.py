@@ -29,6 +29,7 @@ from .automaton import EPSILON, Automaton, StateId, Symbol, Word, letter, symbol
 __all__ = [
     "DEFAULT_LETTERS",
     "LawFailure",
+    "MAX_LEN",
     "SuiteResult",
     "all_words",
     "random_automaton",
@@ -37,6 +38,9 @@ __all__ = [
 ]
 
 DEFAULT_LETTERS = (letter("a"), letter("b"))
+
+# Longest words the suite checks: each case enumerates 2^(max_len + 1) words.
+MAX_LEN = 10
 
 
 def random_automaton(
@@ -130,7 +134,7 @@ class SuiteResult:
 def run_closure_suite(seed: int, cases: int, max_len: int = 6) -> SuiteResult:
     """Check the two composition laws on seeded random operand pairs.
 
-    For every word w up to ``max_len`` over {a, b}:
+    For every word w up to ``max_len`` (0 to ``MAX_LEN``) over {a, b}:
 
     * the sequential composite accepts w iff some index splits w into a
       prefix the left operand accepts and a suffix the right one accepts;
@@ -141,19 +145,22 @@ def run_closure_suite(seed: int, cases: int, max_len: int = 6) -> SuiteResult:
     the composites are judged by their own simulation.  Cases are run in
     index order, so output is reproducible for a fixed seed.
     """
+    if cases < 0:
+        raise ValueError(f"cases must be >= 0, got {cases}")
+    if not 0 <= max_len <= MAX_LEN:
+        raise ValueError(f"max_len must be in 0..{MAX_LEN}, got {max_len}")
     rng = random.Random(seed)
     words = all_words(DEFAULT_LETTERS, max_len)
-    cap = max(10, max_len)
     failures: list[LawFailure] = []
     for case in range(cases):
         left = random_automaton(rng)
         right = random_automaton(rng)
         sequential = concat(instantiate(left, "L"), instantiate(right, "R"))
         branching = parallel(instantiate(left, "L"), instantiate(right, "R"))
-        left_language = set(enumerate_language(left, max_len, cap=cap))
-        right_language = set(enumerate_language(right, max_len, cap=cap))
-        sequential_language = set(enumerate_language(sequential, max_len, cap=cap))
-        branching_language = set(enumerate_language(branching, max_len, cap=cap))
+        left_language = set(enumerate_language(left, max_len, MAX_LEN))
+        right_language = set(enumerate_language(right, max_len, MAX_LEN))
+        sequential_language = set(enumerate_language(sequential, max_len, MAX_LEN))
+        branching_language = set(enumerate_language(branching, max_len, MAX_LEN))
         for w in words:
             split_verdict = any(
                 w[:i] in left_language and w[i:] in right_language

@@ -15,7 +15,9 @@ most once (``trans`` lines repeat, one edge per line).  ``alphabet`` and
 ``final`` may be empty or absent.  The token ``eps`` is reserved: it spells
 the empty-string symbol in ``trans`` lines and is implicitly part of every
 alphabet, so it may not be declared as a letter.  Namespaced states join
-their path with dots (``L.p0``).
+their path with dots (``L.p0``).  Letters may not contain ``#`` or ``,``,
+state names may not contain ``#``, and the name may not contain any of
+``;|()``, which expressions could not refer to.
 
 Rendering is canonical: fixed section order and sorted tokens, so equal
 automata render byte-identically and every render parses back to a
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 from .algebra import CompositionExpr, Concat, Device, Parallel
 from .automaton import (
@@ -89,6 +91,10 @@ _TOKEN = re.compile(r"\S+")
 
 _SECTION_DIRECTIVES = ("alphabet", "states", "initial", "final")
 
+# Characters of the expression grammar; a device name holding one could
+# never be referred to.
+_EXPRESSION_MARKS = ";|()"
+
 
 def parse_automaton(text: str) -> tuple[str, Automaton]:
     """Parse one automaton file; returns its declared name and the value.
@@ -123,6 +129,16 @@ def parse_automaton(text: str) -> tuple[str, Automaton]:
                     first_tokens[0][1],
                     "malformed-line",
                     "name takes exactly one identifier",
+                )
+            )
+        elif any(ch in _EXPRESSION_MARKS for ch in first_tokens[1][0]):
+            diagnostics.append(
+                ParseDiagnostic(
+                    first_line,
+                    first_tokens[1][1],
+                    "bad-name",
+                    f"device name {first_tokens[1][0]!r} contains one of "
+                    f"{_EXPRESSION_MARKS!r}, which expressions cannot refer to",
                 )
             )
         else:
@@ -214,7 +230,12 @@ def parse_automaton(text: str) -> tuple[str, Automaton]:
                 )
             )
         else:
-            alphabet[token] = Symbol(token)
+            try:
+                alphabet[token] = Symbol(token)
+            except ValueError as err:
+                diagnostics.append(
+                    ParseDiagnostic(alphabet_line, column, "bad-letter", str(err))
+                )
 
     def resolve_state(token: str, lineno: int, column: int) -> StateId | None:
         found = states_by_token.get(token)
@@ -279,8 +300,11 @@ def parse_automaton(text: str) -> tuple[str, Automaton]:
 
 def render_automaton(automaton: Automaton, name: str = "A") -> str:
     """Canonical text for an automaton: sorted, byte-stable, reparseable."""
-    if not name or any(ch.isspace() for ch in name):
-        raise ValueError("automaton names must be nonempty and whitespace-free")
+    if not name or any(ch.isspace() or ch in "#" + _EXPRESSION_MARKS for ch in name):
+        raise ValueError(
+            f"automaton names must be nonempty and free of whitespace, '#' and "
+            f"{_EXPRESSION_MARKS!r}, or they would not parse back"
+        )
     lines = [f"name {name}"]
     lines.append(" ".join(["alphabet", *[str(s) for s in automaton.letters()]]).rstrip())
     lines.append(
@@ -310,58 +334,55 @@ def parse_expression(text: str) -> CompositionExpr:
         )
 
     end_line, end_column = tokens[-1][1], tokens[-1][2] + len(tokens[-1][0])
-    position = 0
 
-    def fail(code: str, message: str, token: tuple[str, int, int] | None) -> None:
+    def fail(code: str, message: str, token: tuple[str, int, int] | None) -> NoReturn:
         if token is None:
             raise ParseError([ParseDiagnostic(end_line, end_column, code, message)])
         raise ParseError([ParseDiagnostic(token[1], token[2], code, message)])
 
-    def peek() -> tuple[str, int, int] | None:
-        return tokens[position] if position < len(tokens) else None
-
-    def parse_atom() -> CompositionExpr:
-        nonlocal position
-        token = peek()
+    # One frame per open parenthesis (the bottom one is the whole input),
+    # holding the finished "|" operands so far and the ";" chain in progress,
+    # so nesting depth costs heap, not the interpreter's stack.
+    frames: list[list[CompositionExpr | None]] = [[None, None]]
+    position = 0
+    while True:
+        # Expecting an operand.
+        token = tokens[position] if position < len(tokens) else None
         if token is None:
             fail("expected-operand", "expected a device name or '('", None)
-        text_, _, _ = token
-        if text_ == "(":
-            position += 1
-            node = parse_par()
-            closing = peek()
-            if closing is None or closing[0] != ")":
-                fail("unbalanced-paren", "expected ')'", closing)
-            position += 1
-            return node
-        if text_ in (")", ";", "|"):
-            fail("expected-operand", f"expected a device name, found {text_!r}", token)
         position += 1
-        return Device(text_)
-
-    def parse_cat() -> CompositionExpr:
-        nonlocal position
-        node = parse_atom()
-        while (token := peek()) is not None and token[0] == ";":
+        if token[0] == "(":
+            frames.append([None, None])
+            continue
+        if token[0] in (")", ";", "|"):
+            fail(
+                "expected-operand", f"expected a device name, found {token[0]!r}", token
+            )
+        node: CompositionExpr = Device(token[0])
+        # Fold the operand in, closing every parenthesis that follows it.
+        while True:
+            frame = frames[-1]
+            chain = node if frame[1] is None else Concat(frame[1], node)
+            token = tokens[position] if position < len(tokens) else None
+            if token is not None and token[0] == ";":
+                position += 1
+                frame[1] = chain
+                break
+            node = chain if frame[0] is None else Parallel(frame[0], chain)
+            if token is not None and token[0] == "|":
+                position += 1
+                frame[:] = [node, None]
+                break
+            if len(frames) == 1:
+                if token is None:
+                    return node
+                if token[0] == ")":
+                    fail("unbalanced-paren", "unmatched ')'", token)
+                fail("expected-operator", f"unexpected {token[0]!r}", token)
+            if token is None or token[0] != ")":
+                fail("unbalanced-paren", "expected ')'", token)
             position += 1
-            node = Concat(node, parse_atom())
-        return node
-
-    def parse_par() -> CompositionExpr:
-        nonlocal position
-        node = parse_cat()
-        while (token := peek()) is not None and token[0] == "|":
-            position += 1
-            node = Parallel(node, parse_cat())
-        return node
-
-    result = parse_par()
-    leftover = peek()
-    if leftover is not None:
-        if leftover[0] == ")":
-            fail("unbalanced-paren", "unmatched ')'", leftover)
-        fail("expected-operator", f"unexpected {leftover[0]!r}", leftover)
-    return result
+            frames.pop()
 
 
 def render_expression(expr: CompositionExpr) -> str:

@@ -29,7 +29,6 @@ from .automaton import (
     Automaton,
     StateId,
     Symbol,
-    UnknownSymbolError,
     Word,
     accepts,
     pad_alphabet,
@@ -106,14 +105,6 @@ class ControlTrace:
         object.__setattr__(self, "devices", MappingProxyType(dict(self.devices)))
 
 
-def _require_in(alphabet: frozenset[Symbol], input_word: Word) -> None:
-    for symbol in input_word:
-        if symbol.is_epsilon or symbol not in alphabet:
-            raise UnknownSymbolError(
-                f"symbol {symbol} is not a letter of the alphabet"
-            )
-
-
 def control_trace(
     expr: CompositionExpr, env: DeviceEnvironment, input_word: Iterable[Symbol]
 ) -> ControlTrace:
@@ -130,7 +121,6 @@ def control_trace(
     """
     composite = elaborate(expr, env)
     input_word = tuple(input_word)
-    _require_in(composite.alphabet, input_word)
     leaves = leaf_devices(expr)
     node_paths = set(subexpressions(expr))
 
@@ -185,7 +175,6 @@ def splits(
     """
     input_word = tuple(input_word)
     union = left.alphabet | right.alphabet
-    _require_in(union, input_word)
     padded_left = pad_alphabet(left, union)
     padded_right = pad_alphabet(right, union)
     return {
@@ -202,7 +191,6 @@ def parallel_verdicts(
     """Each operand's verdict on its own full copy of the input."""
     input_word = tuple(input_word)
     union = left.alphabet | right.alphabet
-    _require_in(union, input_word)
     return (
         accepts(pad_alphabet(left, union), input_word),
         accepts(pad_alphabet(right, union), input_word),

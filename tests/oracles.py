@@ -2,14 +2,36 @@
 
 ``oracle_accepts`` decides acceptance by a top-down search over individual
 runs, which shares no code with the frontier simulation in the package.
+``reference_witness``, ``reference_determinize`` and
+``reference_equivalent`` are the set-based search, subset construction
+and product equivalence that the package's integer kernel replaced; they
+run on the public set-based ``step``, ``epsilon_closure``, ``product`` and
+``is_empty``, so the kernel is judged by code that never touches it.
 The string predicates describe the bundled devices' languages directly.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 
-from nfalgebra import EPSILON, Automaton, StateId, Word
+from nfalgebra import (
+    EPSILON,
+    Automaton,
+    Dfa,
+    EquivalenceVerdict,
+    RunWitness,
+    StateId,
+    Symbol,
+    UnknownSymbolError,
+    Word,
+    epsilon_closure,
+    is_empty,
+    pad_alphabet,
+    product,
+    step,
+    symbol_key,
+)
 
 
 def oracle_accepts(automaton: Automaton, input_word: Word) -> bool:
@@ -41,6 +63,81 @@ def oracle_accepts(automaton: Automaton, input_word: Word) -> bool:
         return found
 
     return search(automaton.initial, 0, budget)
+
+
+def reference_witness(automaton: Automaton, input_word: Word) -> RunWitness | None:
+    """Breadth-first search over (position, state) with sorted moves."""
+    for symbol in input_word:
+        if symbol.is_epsilon or symbol not in automaton.alphabet:
+            raise UnknownSymbolError(f"symbol {symbol} is not a letter of the alphabet")
+    start = (0, automaton.initial)
+    parents: dict[tuple[int, StateId], tuple[tuple[int, StateId], Symbol] | None]
+    parents = {start: None}
+    queue: deque[tuple[int, StateId]] = deque([start])
+    goal: tuple[int, StateId] | None = None
+    while queue:
+        config = queue.popleft()
+        position, current = config
+        if position == len(input_word) and current in automaton.finals:
+            goal = config
+            break
+        moves: list[tuple[tuple[int, StateId], Symbol]] = []
+        if position < len(input_word):
+            consumed = input_word[position]
+            for target in automaton.targets(current, consumed):
+                moves.append(((position + 1, target), consumed))
+        for target in automaton.targets(current, EPSILON):
+            moves.append(((position, target), EPSILON))
+        moves.sort(key=lambda move: (move[0][1], symbol_key(move[1])))
+        for successor, symbol in moves:
+            if successor not in parents:
+                parents[successor] = (config, symbol)
+                queue.append(successor)
+    if goal is None:
+        return None
+    states = [goal[1]]
+    symbols: list[Symbol] = []
+    cursor = goal
+    while True:
+        back = parents[cursor]
+        if back is None:
+            break
+        cursor, symbol = back
+        states.append(cursor[1])
+        symbols.append(symbol)
+    states.reverse()
+    symbols.reverse()
+    return RunWitness(tuple(states), tuple(symbols))
+
+
+def reference_determinize(automaton: Automaton) -> Dfa:
+    """Subset construction over sorted tuples of states, one ``step`` per move."""
+    letters = automaton.letters()
+    initial = tuple(sorted(epsilon_closure(automaton, (automaton.initial,))))
+    table = {}
+    finals = set()
+    seen = {initial}
+    queue = deque([initial])
+    while queue:
+        subset = queue.popleft()
+        if not automaton.finals.isdisjoint(subset):
+            finals.add(subset)
+        for sym in letters:
+            successor = tuple(sorted(step(automaton, subset, sym)))
+            table[(subset, sym)] = successor
+            if successor not in seen:
+                seen.add(successor)
+                queue.append(successor)
+    return Dfa(automaton.alphabet, frozenset(seen), initial, table, frozenset(finals))
+
+
+def reference_equivalent(a: Automaton, b: Automaton) -> EquivalenceVerdict:
+    """Both full DFAs over the union alphabet, then their difference product."""
+    union = a.alphabet | b.alphabet
+    left = reference_determinize(pad_alphabet(a, union))
+    right = reference_determinize(pad_alphabet(b, union))
+    counterexample = is_empty(product(left, right, lambda x, y: x != y))
+    return EquivalenceVerdict(counterexample is None, counterexample)
 
 
 def in_l1(text: str) -> bool:

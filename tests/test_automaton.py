@@ -42,7 +42,8 @@ class TestSymbol:
         with pytest.raises(ValueError):
             Symbol("eps")
 
-    @pytest.mark.parametrize("bad", ["", "a b", "a\tb", "x\n"])
+    # '#' would render as a comment and ',' splits input words.
+    @pytest.mark.parametrize("bad", ["", "a b", "a\tb", "x\n", "x#y", "a,b"])
     def test_malformed_letters_rejected(self, bad):
         with pytest.raises(ValueError):
             Symbol(bad)
@@ -60,7 +61,7 @@ class TestStateId:
         assert state("L.p0") < state("L.p1")
         assert state("L.p1") < state("R.p0")
 
-    @pytest.mark.parametrize("bad", ["", ".p0", "p0.", "L..p0", "a b"])
+    @pytest.mark.parametrize("bad", ["", ".p0", "p0.", "L..p0", "a b", "s#1", "L#.p0"])
     def test_malformed_names_rejected(self, bad):
         with pytest.raises(ValueError):
             state(bad)

@@ -1,7 +1,14 @@
 """CLI contract: subcommands, streams, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import nfalgebra
 from nfalgebra import fixtures, parse_automaton, run_cli
 
 N1 = str(fixtures.builtin_path("N1"))
@@ -65,6 +72,29 @@ class TestAccept:
         code, _, err = run(capsys, "accept", "-d", N1, "-e", "N1", "-i", "abz")
         assert code == 2
         assert "unknown-symbol" in err
+
+    def test_deeply_parenthesized_expression(self, capsys):
+        expr = "(" * 3000 + "N1" + ")" * 3000
+        code, out, _ = run(capsys, "accept", "-d", N1, "-e", expr, "-i", "abaa")
+        assert (code, out.strip()) == (0, "accept")
+
+    @pytest.mark.parametrize(
+        "body,code",
+        [
+            ("name A;B\nstates p0\ninitial p0\n", "bad-name"),
+            ("name T\nalphabet x,y\nstates p0\ninitial p0\n", "bad-letter"),
+        ],
+        ids=["name", "letter"],
+    )
+    def test_unreferable_tokens_are_diagnosed(self, capsys, tmp_path, body, code):
+        bad = tmp_path / "bad.nfa"
+        bad.write_text(body)
+        status, out, err = run(capsys, "accept", "-d", str(bad), "-e", "T", "-i", "x")
+        assert (status, out) == (2, "")
+        assert code in err
+        status, _, err = run(capsys, "check", str(bad))
+        assert status == 2
+        assert code in err
 
     def test_missing_device_file(self, capsys, tmp_path):
         code, _, err = run(
@@ -190,6 +220,48 @@ class TestProps:
         )
         assert code == 0
         assert "max-len 3" in out
+
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--cases", "-5"),
+            ("--cases", "1", "--max-len", "-1"),
+            ("--cases", "1", "--max-len", "11"),
+        ],
+    )
+    def test_out_of_range_arguments(self, capsys, flags):
+        code, out, err = run(capsys, "props", "--seed", "7", *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize(
+        "module,word,expected",
+        [
+            ("nfalgebra", "abaabaa", 0),
+            ("nfalgebra", "aaa", 1),
+            ("nfalgebra", "zzz", 2),
+            ("nfalgebra.cli", "abaabaa", 0),
+            ("nfalgebra.cli", "zzz", 2),
+        ],
+    )
+    def test_exit_codes(self, module, word, expected):
+        source = str(Path(nfalgebra.__file__).resolve().parent.parent)
+        environment = dict(os.environ)
+        environment["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source, environment.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", module, "accept", "-d", N1, "-e", "N1", "-i", word],
+            capture_output=True,
+            text=True,
+            env=environment,
+            timeout=60,
+        )
+        assert done.returncode == expected
+        assert done.stdout.strip() == {0: "accept", 1: "reject", 2: ""}[expected]
 
 
 class TestUsage:

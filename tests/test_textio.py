@@ -112,6 +112,21 @@ class TestParseAutomaton:
             parse_automaton(text)
         assert "bad-state-name" in codes(err.value)
 
+    @pytest.mark.parametrize("name", ["A;B", "A|B", "(A)", "A)"])
+    def test_name_with_expression_marks(self, name):
+        text = f"name {name}\nstates p0\ninitial p0\n"
+        with pytest.raises(ParseError) as err:
+            parse_automaton(text)
+        (diag,) = err.value.diagnostics
+        assert (diag.code, diag.line, diag.column) == ("bad-name", 1, 6)
+
+    def test_letter_with_comma(self):
+        text = "name T\nalphabet a x,y\nstates p0\ninitial p0\n"
+        with pytest.raises(ParseError) as err:
+            parse_automaton(text)
+        (diag,) = err.value.diagnostics
+        assert (diag.code, diag.line, diag.column) == ("bad-letter", 2, 12)
+
     def test_unknown_directive(self):
         text = "name T\nstates p0\ninitial p0\nloop p0\n"
         with pytest.raises(ParseError) as err:
@@ -149,6 +164,11 @@ class TestRenderAutomaton:
     def test_name_is_validated(self, n1):
         with pytest.raises(ValueError):
             render_automaton(n1, "two words")
+
+    @pytest.mark.parametrize("name", ["A;B", "(A)", "A#B"])
+    def test_name_that_would_not_parse_back(self, n1, name):
+        with pytest.raises(ValueError):
+            render_automaton(n1, name)
 
     def test_empty_sections_round_trip(self):
         # Empty alphabet and empty finals stay representable.
@@ -197,6 +217,14 @@ class TestParseExpression:
         with pytest.raises(ParseError) as err:
             parse_expression(text)
         assert codes(err.value) == [code]
+
+    def test_deep_nesting_needs_no_recursion(self):
+        depth = 3000
+        assert parse_expression("(" * depth + "N1" + ")" * depth) == Device("N1")
+        with pytest.raises(ParseError) as err:
+            parse_expression("(" * depth + "N1" + ")" * (depth - 1))
+        (diag,) = err.value.diagnostics
+        assert (diag.code, diag.column) == ("unbalanced-paren", 2 * depth + 2)
 
 
 class TestRenderExpression:
