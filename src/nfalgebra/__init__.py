@@ -64,7 +64,6 @@ from .automaton import (
     witness,
     word,
 )
-from .cli import run_cli
 from .textio import (
     ParseDiagnostic,
     ParseError,
@@ -89,6 +88,18 @@ from .trace import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The CLI (argparse, json, the property suite) loads on first use, so
+    # ``import nfalgebra`` stays light and ``python -m nfalgebra.cli`` finds
+    # no half-imported ``cli`` module to warn about.
+    if name == "run_cli":
+        from .cli import run_cli
+
+        return run_cli
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "EPSILON",

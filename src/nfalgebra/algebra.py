@@ -12,9 +12,10 @@ Two binary operators build bigger automata out of smaller ones:
 
 Both constructions take plain unions of state sets and therefore require
 the operands to be disjoint.  ``instantiate`` manufactures disjointness by
-prepending a namespace segment to every state, and ``elaborate`` applies it
-automatically while folding an expression tree, so composites are ordinary
-automata that can be composed again.
+prepending a namespace segment to every state.  ``elaborate`` builds the
+composite an expression tree describes, with every operand renamed under
+its position in the tree, in one pass; composites are ordinary automata
+that can be composed again.
 """
 
 from __future__ import annotations
@@ -183,35 +184,101 @@ def elaborate(expr: CompositionExpr, env: DeviceEnvironment) -> Automaton:
     Each operand is renamed under its position in the tree (left child
     "L", right child "R", nested positions nest), so the same device name
     may appear at any number of leaves without state clashes.  Every leaf
-    is validated before use.
+    is validated before use; the leftmost unbound or invalid leaf is the
+    one reported.
+
+    The result is what folding the tree with ``instantiate``, ``concat``
+    and ``parallel`` would give, built in one pass: every leaf state is
+    renamed straight to its final position path, each ``;`` node bridges
+    the finals of its left subtree to the initial state of its right one,
+    and each ``|`` node adds its fork state ``r0`` under its own path
+    (both operands live under ``L``/``R``, so ``r0`` never needs a
+    suffix).  A lone device comes back as the bound automaton itself.
     """
-    if isinstance(expr, Device):
-        automaton = env.get(expr.name)
+    checked: dict[str, Automaton] = {}
+
+    def bound(name: str) -> Automaton:
+        automaton = checked.get(name)
         if automaton is None:
-            raise UnboundDeviceError(f"no device named {expr.name!r} is bound")
-        problems = validate(automaton)
-        if problems:
-            detail = "; ".join(v.code for v in problems)
-            raise InvalidDeviceError(f"device {expr.name!r} is invalid: {detail}")
+            automaton = env.get(name)
+            if automaton is None:
+                raise UnboundDeviceError(f"no device named {name!r} is bound")
+            problems = validate(automaton)
+            if problems:
+                detail = "; ".join(v.code for v in problems)
+                raise InvalidDeviceError(f"device {name!r} is invalid: {detail}")
+            checked[name] = automaton
         return automaton
-    left = instantiate(elaborate(expr.left, env), "L")
-    right = instantiate(elaborate(expr.right, env), "R")
-    combine = concat if isinstance(expr, Concat) else parallel
-    return combine(left, right)
+
+    if isinstance(expr, Device):
+        return bound(expr.name)
+
+    alphabet: set[Symbol] = set()
+    states: set[StateId] = set()
+    transitions: dict[tuple[StateId, Symbol], frozenset[StateId]] = {}
+    # Post-order walk, left before right: (node, path, children done).
+    pending: list[tuple[CompositionExpr, tuple[str, ...], bool]] = [
+        (expr, (), False)
+    ]
+    # (initial state, final states) of each finished subtree.
+    done: list[tuple[StateId, list[StateId]]] = []
+    while pending:
+        node, path, expanded = pending.pop()
+        if isinstance(node, Device):
+            automaton = bound(node.name)
+            rename = {
+                s: StateId((*path, *s.namespace), s.local) for s in automaton.states
+            }
+            alphabet |= automaton.alphabet
+            states.update(rename.values())
+            for (source, symbol), targets in automaton.transitions.items():
+                transitions[(rename[source], symbol)] = frozenset(
+                    rename[t] for t in targets
+                )
+            done.append(
+                (rename[automaton.initial], [rename[f] for f in automaton.finals])
+            )
+        elif not expanded:
+            pending.append((node, path, True))
+            pending.append((node.right, (*path, "R"), False))
+            pending.append((node.left, (*path, "L"), False))
+        else:
+            right_initial, right_finals = done.pop()
+            left_initial, left_finals = done.pop()
+            if isinstance(node, Concat):
+                bridge = frozenset({right_initial})
+                for final in left_finals:
+                    key = (final, EPSILON)
+                    transitions[key] = transitions.get(key, frozenset()) | bridge
+                done.append((left_initial, right_finals))
+            else:
+                fork = StateId(path, "r0")
+                states.add(fork)
+                transitions[(fork, EPSILON)] = frozenset({left_initial, right_initial})
+                done.append((fork, left_finals + right_finals))
+    initial, finals = done.pop()
+    return Automaton(
+        alphabet=frozenset(alphabet),
+        states=frozenset(states),
+        initial=initial,
+        transitions=transitions,
+        finals=frozenset(finals),
+    )
 
 
 def subexpressions(expr: CompositionExpr) -> dict[str, CompositionExpr]:
     """Map every position path to its subtree ("" is the root, children
-    append L/R)."""
+    append L/R), in pre-order: each node, then its left subtree, then its
+    right one."""
     out: dict[str, CompositionExpr] = {}
-
-    def walk(node: CompositionExpr, path: str) -> None:
+    pending: list[tuple[CompositionExpr, str]] = [(expr, "")]
+    while pending:
+        node, path = pending.pop()
         out[path] = node
         if isinstance(node, (Concat, Parallel)):
-            walk(node.left, f"{path}.L" if path else "L")
-            walk(node.right, f"{path}.R" if path else "R")
-
-    walk(expr, "")
+            prefix = f"{path}." if path else ""
+            pending.append((node.right, f"{prefix}R"))
+            pending.append((node.left, f"{prefix}L"))
     return out
 
 

@@ -32,7 +32,7 @@ from .textio import (
     render_automaton,
     render_dot,
 )
-from .trace import Activate, ControlTrace, Handoff, Step, Verdict, control_trace
+from .trace import Activate, ControlTrace, Handoff, Step, Verdict, _trace_composite
 
 __all__ = ["build_parser", "main", "run_cli"]
 
@@ -257,7 +257,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     expr = parse_expression(args.expr)
     composite = elaborate(expr, env)
     input_word = parse_input(args.input, composite.alphabet)
-    trace = control_trace(expr, env, input_word)
+    trace = _trace_composite(expr, env, composite, input_word)
     if args.json:
         print(json.dumps(_trace_payload(trace), indent=2))
     else:

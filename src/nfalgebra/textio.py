@@ -395,20 +395,29 @@ def render_expression(expr: CompositionExpr) -> str:
             return 2
         return 3
 
-    def emit(node: CompositionExpr) -> str:
+    # Post-order walk, left before right: (node, children done).  Each
+    # finished subtree's text waits on ``rendered`` until its parent joins it.
+    rendered: list[str] = []
+    pending: list[tuple[CompositionExpr, bool]] = [(expr, False)]
+    while pending:
+        node, expanded = pending.pop()
         if isinstance(node, Device):
-            return node.name
-        joiner = " ; " if isinstance(node, Concat) else " | "
-        mine = precedence(node)
-        left = emit(node.left)
-        right = emit(node.right)
-        if precedence(node.left) < mine:
-            left = f"({left})"
-        if precedence(node.right) <= mine:  # right nesting must stay explicit
-            right = f"({right})"
-        return f"{left}{joiner}{right}"
-
-    return emit(expr)
+            rendered.append(node.name)
+        elif not expanded:
+            pending.append((node, True))
+            pending.append((node.right, False))
+            pending.append((node.left, False))
+        else:
+            joiner = " ; " if isinstance(node, Concat) else " | "
+            mine = precedence(node)
+            right = rendered.pop()
+            left = rendered.pop()
+            if precedence(node.left) < mine:
+                left = f"({left})"
+            if precedence(node.right) <= mine:  # right nesting must stay explicit
+                right = f"({right})"
+            rendered.append(f"{left}{joiner}{right}")
+    return rendered.pop()
 
 
 def _quote(text: str) -> str:

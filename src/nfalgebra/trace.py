@@ -20,10 +20,10 @@ from typing import Iterable, Mapping, Union
 
 from .algebra import (
     CompositionExpr,
+    Device,
     DeviceEnvironment,
     elaborate,
     leaf_devices,
-    subexpressions,
 )
 from .automaton import (
     Automaton,
@@ -119,23 +119,36 @@ def control_trace(
     failed run is ill-defined under nondeterminism); instead every leaf
     device reports its own verdict on a full copy of the input.
     """
-    composite = elaborate(expr, env)
+    return _trace_composite(expr, env, elaborate(expr, env), input_word)
+
+
+def _trace_composite(
+    expr: CompositionExpr,
+    env: DeviceEnvironment,
+    composite: Automaton,
+    input_word: Iterable[Symbol],
+) -> ControlTrace:
+    """``control_trace`` for a caller that already holds
+    ``composite = elaborate(expr, env)``."""
     input_word = tuple(input_word)
     leaves = leaf_devices(expr)
-    node_paths = set(subexpressions(expr))
+    owners: dict[tuple[str, ...], str] = {}
 
     def owner(state_id: StateId) -> str:
-        # Longest expression-position prefix of the namespace; any deeper
-        # segments are the device's own internal structure.
-        best = ""
-        partial: list[str] = []
-        for segment in state_id.namespace:
-            partial.append(segment)
-            candidate = ".".join(partial)
-            if candidate not in node_paths:
-                break
-            best = candidate
-        return best
+        # Longest expression-position prefix of the namespace, found by
+        # walking down the tree; any deeper segments are the device's own
+        # internal structure.  Each namespace is resolved once per trace.
+        namespace = state_id.namespace
+        found = owners.get(namespace)
+        if found is None:
+            node, depth = expr, 0
+            for segment in namespace:
+                if isinstance(node, Device) or segment not in ("L", "R"):
+                    break
+                node = node.left if segment == "L" else node.right
+                depth += 1
+            found = owners[namespace] = ".".join(namespace[:depth])
+        return found
 
     events: list[TraceEvent] = []
     run = witness(composite, input_word)
@@ -145,13 +158,14 @@ def control_trace(
             events.append(Verdict(path, accepts(device, input_word)))
         overall = False
     else:
+        owned = [owner(s) for s in run.states]
         active: set[str] = set()
-        first = owner(run.states[0])
+        first = owned[0]
         events.append(Activate(first))
         active.add(first)
         for index, symbol in enumerate(run.symbols):
             source, target = run.states[index], run.states[index + 1]
-            source_device, target_device = owner(source), owner(target)
+            source_device, target_device = owned[index], owned[index + 1]
             if symbol.is_epsilon and source_device != target_device:
                 events.append(Handoff(source_device, target_device, source, target))
             else:
@@ -159,7 +173,7 @@ def control_trace(
             if target_device not in active:
                 events.append(Activate(target_device))
                 active.add(target_device)
-        events.append(Verdict(owner(run.states[-1]), True))
+        events.append(Verdict(owned[-1], True))
         overall = True
     return ControlTrace(input_word, overall, tuple(events), dict(leaves))
 

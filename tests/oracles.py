@@ -7,6 +7,8 @@ runs, which shares no code with the frontier simulation in the package.
 and product equivalence that the package's integer kernel replaced; they
 run on the public set-based ``step``, ``epsilon_closure``, ``product`` and
 ``is_empty``, so the kernel is judged by code that never touches it.
+``reference_elaborate`` is the recursive fold of ``instantiate``,
+``concat`` and ``parallel`` that the one-pass ``elaborate`` replaced.
 The string predicates describe the bundled devices' languages directly.
 """
 
@@ -18,19 +20,29 @@ from collections import deque
 from nfalgebra import (
     EPSILON,
     Automaton,
+    CompositionExpr,
+    Concat,
+    Device,
+    DeviceEnvironment,
     Dfa,
     EquivalenceVerdict,
+    InvalidDeviceError,
     RunWitness,
     StateId,
     Symbol,
+    UnboundDeviceError,
     UnknownSymbolError,
     Word,
+    concat,
     epsilon_closure,
+    instantiate,
     is_empty,
     pad_alphabet,
+    parallel,
     product,
     step,
     symbol_key,
+    validate,
 )
 
 
@@ -138,6 +150,24 @@ def reference_equivalent(a: Automaton, b: Automaton) -> EquivalenceVerdict:
     right = reference_determinize(pad_alphabet(b, union))
     counterexample = is_empty(product(left, right, lambda x, y: x != y))
     return EquivalenceVerdict(counterexample is None, counterexample)
+
+
+def reference_elaborate(expr: CompositionExpr, env: DeviceEnvironment) -> Automaton:
+    """Fold the tree bottom-up: elaborate both operands, rename them under
+    "L" and "R", and combine them with ``concat`` or ``parallel``."""
+    if isinstance(expr, Device):
+        automaton = env.get(expr.name)
+        if automaton is None:
+            raise UnboundDeviceError(f"no device named {expr.name!r} is bound")
+        problems = validate(automaton)
+        if problems:
+            detail = "; ".join(v.code for v in problems)
+            raise InvalidDeviceError(f"device {expr.name!r} is invalid: {detail}")
+        return automaton
+    left = instantiate(reference_elaborate(expr.left, env), "L")
+    right = instantiate(reference_elaborate(expr.right, env), "R")
+    combine = concat if isinstance(expr, Concat) else parallel
+    return combine(left, right)
 
 
 def in_l1(text: str) -> bool:

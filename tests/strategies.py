@@ -4,7 +4,18 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from nfalgebra import EPSILON, Automaton, StateId, letter
+from nfalgebra import (
+    EPSILON,
+    Automaton,
+    Concat,
+    Device,
+    Parallel,
+    StateId,
+    instantiate,
+    letter,
+    pad_alphabet,
+    parallel,
+)
 
 LETTERS = (letter("a"), letter("b"))
 
@@ -33,3 +44,33 @@ def automata(draw, max_states: int = 4, allow_epsilon: bool = True) -> Automaton
 
 def words(max_len: int = 6):
     return st.lists(st.sampled_from(LETTERS), max_size=max_len).map(tuple)
+
+
+@st.composite
+def leaf_devices(draw) -> Automaton:
+    """A device to bind at expression leaves.
+
+    Besides plain automata, it may be renamed under namespaces (even "L"
+    and "R", the segments elaboration adds), be a parallel composite with
+    a root-level ``r0`` fork, or carry a letter no other leaf knows.
+    """
+    device = draw(automata(max_states=3))
+    shape = draw(st.sampled_from(("plain", "renamed", "composite")))
+    if shape == "renamed":
+        for segment in draw(st.lists(st.sampled_from(("L", "R", "X")), max_size=2)):
+            device = instantiate(device, segment)
+    elif shape == "composite":
+        other = draw(automata(max_states=2))
+        device = parallel(instantiate(device, "L"), instantiate(other, "X"))
+    if draw(st.booleans()):
+        device = pad_alphabet(device, {letter("c")})
+    return device
+
+
+def expressions(names: list[str], max_leaves: int = 10):
+    """Random ``;``/``|`` trees over the given device names."""
+    return st.recursive(
+        st.sampled_from(names).map(Device),
+        lambda sub: st.builds(Concat, sub, sub) | st.builds(Parallel, sub, sub),
+        max_leaves=max_leaves,
+    )

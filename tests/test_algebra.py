@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfalgebra import (
     EPSILON,
@@ -13,6 +14,7 @@ from nfalgebra import (
     InvalidDeviceError,
     Parallel,
     StateClashError,
+    StateId,
     UnboundDeviceError,
     accepts,
     concat,
@@ -23,15 +25,19 @@ from nfalgebra import (
     leaf_devices,
     letter,
     parallel,
+    render_automaton,
     state,
     subexpressions,
     validate,
     witness,
     word,
 )
+from nfalgebra import algebra
 from nfalgebra.properties import random_automaton
 
-from .strategies import automata
+from .conftest import DEEP_LEAVES
+from .oracles import reference_elaborate
+from .strategies import automata, expressions, leaf_devices as leaf_automata
 
 A = letter("a")
 
@@ -133,6 +139,23 @@ class TestParallel:
             parallel(n2, n2)
 
 
+BROKEN_INITIAL = Automaton(
+    alphabet=frozenset({A}),
+    states=frozenset({state("s0")}),
+    initial=state("ghost"),
+    transitions={},
+    finals=frozenset(),
+)
+
+BROKEN_LETTER = Automaton(
+    alphabet=frozenset({A}),
+    states=frozenset({state("s0")}),
+    initial=state("s0"),
+    transitions={(state("s0"), letter("z")): frozenset({state("s0")})},
+    finals=frozenset({state("s0")}),
+)
+
+
 class TestElaborate:
     def test_leaf_is_the_device_itself(self, n1, env):
         assert elaborate(Device("N1"), env) == n1
@@ -173,6 +196,71 @@ class TestElaborate:
         expr = Parallel(Concat(Device("N1"), Device("N2")), Device("N1"))
         assert leaf_devices(expr) == [("L.L", "N1"), ("L.R", "N2"), ("R", "N1")]
         assert set(subexpressions(expr)) == {"", "L", "R", "L.L", "L.R"}
+
+    def test_subexpressions_are_in_preorder(self):
+        expr = Parallel(Concat(Device("N1"), Device("N2")), Device("N1"))
+        assert list(subexpressions(expr)) == ["", "L", "L.L", "L.R", "R"]
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_recursive_fold(self, n1, n2, data):
+        env = {"N1": n1, "N2": n2}
+        for name in ("G0", "G1", "G2"):
+            env[name] = data.draw(leaf_automata(), label=name)
+        expr = data.draw(expressions(sorted(env)), label="expr")
+        built = elaborate(expr, env)
+        expected = reference_elaborate(expr, env)
+        assert built == expected
+        assert render_automaton(built, "c") == render_automaton(expected, "c")
+
+    @given(expressions(["N1", "Bad", "Worse", "Gone"]))
+    @settings(max_examples=100, deadline=None)
+    def test_leftmost_bad_leaf_is_reported(self, n1, expr):
+        env = {"N1": n1, "Bad": BROKEN_INITIAL, "Worse": BROKEN_LETTER}
+
+        def outcome(build):
+            try:
+                return build(expr, env)
+            except (UnboundDeviceError, InvalidDeviceError) as err:
+                return type(err), str(err)
+
+        assert outcome(elaborate) == outcome(reference_elaborate)
+
+    def test_leftmost_bad_leaf_example(self, n1):
+        env = {"N1": n1, "Bad": BROKEN_INITIAL}
+        expr = Concat(Parallel(Device("N1"), Device("Gone")), Device("Bad"))
+        with pytest.raises(UnboundDeviceError, match="'Gone'"):
+            elaborate(expr, env)
+        with pytest.raises(InvalidDeviceError, match="'Bad'.*initial-not-in-states"):
+            elaborate(Concat(Device("Bad"), Device("Gone")), env)
+
+    def test_each_device_is_validated_once(self, env, monkeypatch):
+        checked = []
+
+        def counting_validate(automaton):
+            checked.append(automaton)
+            return validate(automaton)
+
+        monkeypatch.setattr(algebra, "validate", counting_validate)
+        names = ["N1", "N2", "N1", "N1", "N2"]
+        expr = Device(names[0])
+        for name in names[1:]:
+            expr = Parallel(expr, Concat(Device(name), expr))
+        elaborate(expr, env)
+        assert len(checked) == 2
+
+    def test_deep_chain_needs_no_recursion(self, env, deep_chain, shallow_stack):
+        names, expr, _, member = deep_chain
+        composite = elaborate(expr, env)
+        assert len(composite.states) == 3 * DEEP_LEAVES  # 4 + 2 per N1, N2 pair
+        assert composite.initial == StateId(("L",), "p0")
+        assert composite.finals == {StateId(("R",) * (DEEP_LEAVES - 1), "q1")}
+        assert validate(composite) == []
+        assert accepts(composite, word(member))
+        paths = [".".join(["R"] * i + ["L"]) for i in range(DEEP_LEAVES - 1)]
+        paths.append(".".join(["R"] * (DEEP_LEAVES - 1)))
+        assert leaf_devices(expr) == list(zip(paths, names))
+        assert len(subexpressions(expr)) == 2 * DEEP_LEAVES - 1
 
 
 class TestCompositionLaws:

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import nfalgebra
-from nfalgebra import fixtures, parse_automaton, run_cli
+from nfalgebra import cli, fixtures, parse_automaton, run_cli, trace
+
+from .conftest import DEEP_LEAVES
 
 N1 = str(fixtures.builtin_path("N1"))
 N2 = str(fixtures.builtin_path("N2"))
@@ -146,6 +148,21 @@ class TestTrace:
         steps = [e for e in payload["events"] if e["kind"] == "step"]
         assert all({"device", "from", "letter", "to"} <= e.keys() for e in steps)
 
+    def test_expression_is_elaborated_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting_elaborate(expr, env):
+            calls.append(expr)
+            return nfalgebra.elaborate(expr, env)
+
+        monkeypatch.setattr(cli, "elaborate", counting_elaborate)
+        monkeypatch.setattr(trace, "elaborate", counting_elaborate)
+        code, out, _ = run(
+            capsys, "trace", "-d", N1, N2, "-e", "N1 ; N2", "-i", "aabaaaab"
+        )
+        assert (code, len(calls)) == (0, 1)
+        assert "handoff N1 -> N2 via L.p3 -eps-> R.q0" in out
+
 
 class TestEquiv:
     def test_equivalent_expressions(self, capsys):
@@ -236,6 +253,50 @@ class TestProps:
         assert err.startswith("error: ")
 
 
+class TestDeepChain:
+    """A right-nested chain deeper than the recursion limit composes."""
+
+    def test_compose(self, capsys, tmp_path, deep_chain, shallow_stack):
+        _, _, text, _ = deep_chain
+        out_path = tmp_path / "deep.nfa"
+        code, out, err = run(
+            capsys, "compose", "-d", N1, N2, "-e", text, "-o", str(out_path)
+        )
+        assert (code, out, err) == (0, "", "")
+        name, composite = parse_automaton(out_path.read_text("utf-8"))
+        assert (name, len(composite.states)) == ("composite", 3 * DEEP_LEAVES)
+
+    def test_dot(self, capsys, deep_chain, shallow_stack):
+        _, _, text, _ = deep_chain
+        code, out, err = run(capsys, "dot", "-d", N1, N2, "-e", text, "--group")
+        assert (code, err) == (0, "")
+        assert out.startswith("digraph automaton {")
+        assert out.count('[label="ε"]') == DEEP_LEAVES - 1
+
+    def test_trace(self, capsys, deep_chain, shallow_stack):
+        _, _, text, member = deep_chain
+        code, out, err = run(capsys, "trace", "-d", N1, N2, "-e", text, "-i", member)
+        assert (code, err) == (0, "")
+        assert "overall: accept" in out
+        assert out.count("\nhandoff ") == DEEP_LEAVES - 1
+
+
+def run_python(*argv):
+    """A fresh interpreter that imports this checkout's package."""
+    source = str(Path(nfalgebra.__file__).resolve().parent.parent)
+    environment = dict(os.environ)
+    environment["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [source, environment.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env=environment,
+        timeout=60,
+    )
+
+
 class TestModuleEntryPoint:
     @pytest.mark.parametrize(
         "module,word,expected",
@@ -248,20 +309,24 @@ class TestModuleEntryPoint:
         ],
     )
     def test_exit_codes(self, module, word, expected):
-        source = str(Path(nfalgebra.__file__).resolve().parent.parent)
-        environment = dict(os.environ)
-        environment["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [source, environment.get("PYTHONPATH")])
-        )
-        done = subprocess.run(
-            [sys.executable, "-m", module, "accept", "-d", N1, "-e", "N1", "-i", word],
-            capture_output=True,
-            text=True,
-            env=environment,
-            timeout=60,
-        )
+        done = run_python("-m", module, "accept", "-d", N1, "-e", "N1", "-i", word)
         assert done.returncode == expected
         assert done.stdout.strip() == {0: "accept", 1: "reject", 2: ""}[expected]
+
+    @pytest.mark.parametrize("module", ["nfalgebra", "nfalgebra.cli"])
+    def test_accepted_run_writes_nothing_to_stderr(self, module):
+        done = run_python("-m", module, "accept", "-d", N1, "-e", "N1", "-i", "abaabaa")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "accept\n", "")
+
+    def test_package_import_loads_the_cli_on_first_use(self):
+        done = run_python(
+            "-c",
+            "import sys, nfalgebra\n"
+            "print('nfalgebra.cli' in sys.modules)\n"
+            "from nfalgebra import run_cli\n"
+            "print('run_cli' in nfalgebra.__all__, run_cli is nfalgebra.cli.run_cli)",
+        )
+        assert (done.stdout, done.stderr) == ("False\nTrue True\n", "")
 
 
 class TestUsage:

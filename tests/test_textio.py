@@ -248,6 +248,11 @@ class TestRenderExpression:
             expr = random_expression(rng, names, max_leaves=5)
             assert parse_expression(render_expression(expr)) == expr
 
+    def test_deep_chain_needs_no_recursion(self, deep_chain, shallow_stack):
+        _, expr, text, _ = deep_chain
+        assert render_expression(expr) == text
+        assert render_expression(parse_expression(text)) == text
+
 
 class TestRenderDot:
     def test_sequential_composite_grouped(self, env):

@@ -98,6 +98,23 @@ class TestControlTrace:
                     if isinstance(event, Handoff):
                         assert (event.source_device, event.target_device) == ("L", "R")
 
+    def test_device_namespaces_stay_inside_the_device(self, env):
+        # A composite bound as a device keeps its own L/R namespaces; they
+        # belong to the leaf, not to the expression around it.
+        inner = elaborate(Concat(Device("N2"), Device("N2")), env)
+        expr = Concat(Device("C"), Device("N2"))
+        trace = control_trace(expr, {"C": inner, "N2": env["N2"]}, word("aaa"))
+        assert trace.overall
+        assert trace.devices == {"L": "C", "R": "N2"}
+        handoffs = [e for e in trace.events if isinstance(e, Handoff)]
+        assert handoffs == [Handoff("L", "R", state("L.R.q1"), state("R.q0"))]
+        inner_bridge = Step("L", state("L.L.q1"), EPSILON, state("L.R.q0"))
+        assert inner_bridge in trace.events
+        assert [e for e in trace.events if isinstance(e, Activate)] == [
+            Activate("L"),
+            Activate("R"),
+        ]
+
     def test_unknown_symbol_rejected(self, env):
         with pytest.raises(UnknownSymbolError):
             control_trace(Device("N1"), env, (letter("z"),))
