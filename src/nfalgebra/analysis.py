@@ -1,10 +1,9 @@
 """Deterministic analysis of automata.
 
 Subset construction, synchronous products, language equivalence with
-counterexamples, and bounded enumeration.  Subset construction and
-equivalence run on the automaton's cached integer kernel; the enumeration
-is deliberately a brute-force set-based simulation, independent of both,
-so they can vouch for each other in tests.
+counterexamples, and bounded enumeration.  Subset construction,
+equivalence and enumeration run on the automaton's cached integer kernel;
+``product`` and ``is_empty`` work on ``Dfa`` tables.
 """
 
 from __future__ import annotations
@@ -15,15 +14,15 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .automaton import (
+    EPSILON,
     Automaton,
     StateId,
     Symbol,
+    UnknownStateError,
     UnknownSymbolError,
     Word,
     _kernel,
-    epsilon_closure,
     pad_alphabet,
-    step,
     symbol_key,
     validate,
 )
@@ -254,9 +253,17 @@ def enumerate_language(
 ) -> list[Word]:
     """All accepted words of length <= ``max_len``, shortest then lexicographic.
 
-    Brute force: every word over the alphabet is simulated directly (shared
-    prefixes share their frontier), with no subset construction involved.
-    This is the reference oracle the composition laws are checked against.
+    Breadth first on the automaton's kernel: each level holds the words of
+    one length whose frontier is still alive, with their frontier masks, in
+    lexicographic order.  Extending each word by the letters in canonical
+    order keeps the next level in that order, so the result needs no sort.
+    Each (frontier, letter) move is computed once per call; a dead frontier
+    is dropped with every word below it.
+
+    An invalid automaton raises what simulating every word in prefix order
+    with ``step`` would raise first: ``UnknownStateError`` for an undeclared
+    initial state or for a move out of or into an undeclared state, and
+    ``UnknownSymbolError`` for the empty-string symbol stored as a letter.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -264,21 +271,44 @@ def enumerate_language(
         raise EnumerationBoundError(
             f"max_len {max_len} exceeds the configured cap {cap}"
         )
-    letters = automaton.letters()
+    kernel = _kernel(automaton)
+    kernel.check_initial()
+    if max_len and EPSILON in automaton.alphabet:
+        raise UnknownSymbolError(f"symbol {EPSILON} is not a letter of the alphabet")
+    letters = list(enumerate(kernel.letters))
+    finals = kernel.finals
+    # Successor per frontier, per letter; -1 marks a move that raises.
+    memo: list[dict[int, int]] = [{} for _ in letters]
+    # The least word, in prefix order, whose last move raises, and that move.
+    failure: tuple[tuple[str, ...], int, int] | None = None
     accepted: list[Word] = []
-
-    def explore(prefix: Word, frontier: frozenset[StateId], remaining: int) -> None:
-        if not automaton.finals.isdisjoint(frontier):
-            accepted.append(prefix)
-        if remaining == 0:
-            return
-        for sym in letters:
-            successor = step(automaton, frontier, sym)
-            if successor:  # a dead frontier never accepts anything below it
-                explore(prefix + (sym,), successor, remaining - 1)
-
-    explore((), epsilon_closure(automaton, (automaton.initial,)), max_len)
-    accepted.sort(key=lambda w: (len(w), tuple(symbol_key(s) for s in w)))
+    level: list[tuple[Word, int]] = [((), kernel.start)]
+    for length in range(max_len + 1):
+        accepted.extend(w for w, mask in level if mask & finals)
+        if length == max_len:
+            break
+        following: list[tuple[Word, int]] = []
+        for w, mask in level:
+            for k, sym in letters:
+                known = memo[k]
+                successor = known.get(mask)
+                if successor is None:
+                    try:
+                        if kernel.undeclared:
+                            kernel.check_declared(mask, k)
+                        successor = kernel.advance(mask, k)
+                    except UnknownStateError:
+                        successor = -1
+                    known[mask] = successor
+                if successor > 0:
+                    following.append((w + (sym,), successor))
+                elif successor < 0:
+                    spelled = tuple(s.token for s in w) + (sym.token,)
+                    if failure is None or spelled < failure[0]:
+                        failure = (spelled, mask, k)
+        level = following
+    if failure is not None:
+        kernel.check_declared(failure[1], failure[2])
     return accepted
 
 

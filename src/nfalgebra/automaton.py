@@ -8,16 +8,18 @@ legal.  The transition map is sparse: a missing entry means "no
 successors".
 
 Every value here is frozen and every operation is a pure function, so the
-whole module is safe to use from any number of threads.  Simulation runs
-on a dense integer kernel that each automaton compiles on first use and
-caches outside its fields; compiling is idempotent, so a race to compile
-needs no lock.
+whole module is safe to use from any number of threads.  State names and
+letters are interned in tables that only grow; each new entry goes in with
+one ``dict.setdefault``, so threads that race on a name share one object.
+Simulation runs on a dense integer kernel that each automaton compiles on
+first use and caches outside its fields; compiling is idempotent, so a race
+to compile needs no lock.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -57,31 +59,68 @@ class UnknownStateError(ValueError):
     """A referenced state is not part of the automaton."""
 
 
-@dataclass(frozen=True)
-class Symbol:
+class _Interned:
+    """Base of the interned name values: immutable, pickled by constructor.
+
+    Each subclass keeps one table from its constructor arguments to the one
+    object built for them.  Equal values are therefore the same object, so
+    ``==`` and ``hash`` are ``object``'s identity tests, which run in C:
+    dicts and sets keyed by tuples of these values hash no Python code.
+    A name is checked once, when first built; the table never shrinks.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        # Unpickling and copying call the constructor, which re-interns.
+        return (type(self), tuple(getattr(self, f) for f in self.__match_args__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Symbol(_Interned):
     """One alphabet letter, or the empty-string symbol when ``token`` is None."""
+
+    __slots__ = ("token",)
+    __match_args__ = ("token",)
+    _interned: dict[str | None, Symbol] = {}
 
     token: str | None
 
-    def __post_init__(self) -> None:
-        if self.token is None:
-            return
-        if not self.token:
-            raise ValueError("letter tokens must be nonempty")
-        if any(ch.isspace() for ch in self.token):
-            raise ValueError(f"letter token {self.token!r} contains whitespace")
-        if self.token == EPSILON_TOKEN:
-            raise ValueError(
-                f"{EPSILON_TOKEN!r} is reserved for the empty-string symbol"
-            )
-        if "#" in self.token:
-            raise ValueError(
-                f"letter token {self.token!r} contains '#', the comment mark"
-            )
-        if "," in self.token:
-            raise ValueError(
-                f"letter token {self.token!r} contains ',', the input-word separator"
-            )
+    def __new__(cls, token: str | None) -> Symbol:
+        found = cls._interned.get(token)
+        if found is not None:
+            return found
+        if token is not None:
+            if not token:
+                raise ValueError("letter tokens must be nonempty")
+            if any(ch.isspace() for ch in token):
+                raise ValueError(f"letter token {token!r} contains whitespace")
+            if token == EPSILON_TOKEN:
+                raise ValueError(
+                    f"{EPSILON_TOKEN!r} is reserved for the empty-string symbol"
+                )
+            if "#" in token:
+                raise ValueError(
+                    f"letter token {token!r} contains '#', the comment mark"
+                )
+            if "," in token:
+                raise ValueError(
+                    f"letter token {token!r} contains ',', "
+                    "the input-word separator"
+                )
+        made = object.__new__(cls)
+        object.__setattr__(made, "token", token)
+        # setdefault is atomic: threads racing on one token keep one object.
+        return cls._interned.setdefault(token, made)
 
     @property
     def is_epsilon(self) -> bool:
@@ -125,21 +164,62 @@ def check_segment(text: str, kind: str = "segment") -> None:
         raise ValueError(f"{kind} {text!r} contains '#', the comment mark")
 
 
-@dataclass(frozen=True, order=True)
-class StateId:
+class StateId(_Interned):
     """A state name qualified by the namespace path of the device it lives in.
 
     Composition renames operands apart by prepending namespace segments, so
-    distinct device instances can never share a state.
+    distinct device instances can never share a state.  States order by
+    ``(namespace, local)``.
     """
+
+    __slots__ = ("namespace", "local", "_key")
+    __match_args__ = ("namespace", "local")
+    _interned: dict[tuple[tuple[str, ...], str], StateId] = {}
+    # Segments that passed ``check_segment``, so a new deep name made of
+    # known segments is checked by one C-level ``issuperset``.
+    _checked: set[str] = set()
 
     namespace: tuple[str, ...]
     local: str
 
-    def __post_init__(self) -> None:
-        for segment in self.namespace:
-            check_segment(segment, "namespace segment")
-        check_segment(self.local, "state name")
+    def __new__(cls, namespace: Iterable[str], local: str) -> StateId:
+        key = (tuple(namespace), local)
+        found = cls._interned.get(key)
+        if found is not None:
+            return found
+        if not cls._checked.issuperset(key[0]):
+            for segment in key[0]:
+                check_segment(segment, "namespace segment")
+            cls._checked.update(key[0])
+        if local not in cls._checked:
+            check_segment(local, "state name")
+            cls._checked.add(local)
+        made = object.__new__(cls)
+        object.__setattr__(made, "namespace", key[0])
+        object.__setattr__(made, "local", local)
+        object.__setattr__(made, "_key", key)
+        # setdefault is atomic: threads racing on one name keep one object.
+        return cls._interned.setdefault(key, made)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not StateId:
+            return NotImplemented
+        return self._key < other._key
+
+    def __le__(self, other: object) -> bool:
+        if other.__class__ is not StateId:
+            return NotImplemented
+        return self._key <= other._key
+
+    def __gt__(self, other: object) -> bool:
+        if other.__class__ is not StateId:
+            return NotImplemented
+        return self._key > other._key
+
+    def __ge__(self, other: object) -> bool:
+        if other.__class__ is not StateId:
+            return NotImplemented
+        return self._key >= other._key
 
     def qualified(self) -> str:
         return ".".join((*self.namespace, self.local))
@@ -364,7 +444,8 @@ class _Kernel:
         self.letters: tuple[Symbol, ...] = tuple(
             s for s in automaton.letters() if not s.is_epsilon
         )
-        # Keyed by token: one str hash per input letter is the whole check.
+        # Keyed by token: this lookup is the whole alphabet check, and the
+        # token a miss reports is what the error message names.
         self.letter_index = {s.token: k for k, s in enumerate(self.letters)}
         self.initial = index[automaton.initial]
         self.finals = sum(1 << index[s] for s in automaton.finals)
@@ -426,8 +507,8 @@ class _Kernel:
         letter where ``step`` would.  Only memo misses pay for the test.
         The memo (frontier to successor, per letter) lives for this call.
         """
-        if checked and self.undeclared >> self.initial & 1:
-            raise UnknownStateError(f"unknown states: {self.states[self.initial]}")
+        if checked:
+            self.check_initial()
         memo: list[dict[int, int]] = [{} for _ in self.letters]
         current = self.start
         for k in indices:
@@ -437,12 +518,18 @@ class _Kernel:
             following = known.get(current)
             if following is None:
                 if checked and self.undeclared:
-                    self._check_declared(current, k)
+                    self.check_declared(current, k)
                 following = known[current] = self.advance(current, k)
             current = following
         return current
 
-    def _check_declared(self, mask: int, letter_index: int) -> None:
+    def check_initial(self) -> None:
+        """Raise ``UnknownStateError`` if the initial state is undeclared."""
+        if self.undeclared >> self.initial & 1:
+            raise UnknownStateError(f"unknown states: {self.states[self.initial]}")
+
+    def check_declared(self, mask: int, letter_index: int) -> None:
+        """Raise ``UnknownStateError`` where ``step`` would on this move."""
         sources = mask & self.undeclared
         if sources:
             raise UnknownStateError(f"unknown state: {self.subset(sources)[0]}")

@@ -141,9 +141,11 @@ def run_closure_suite(seed: int, cases: int, max_len: int = 6) -> SuiteResult:
     * the branching composite accepts w iff the left or the right operand
       accepts w.
 
-    Both oracles consult only the operands (via brute-force enumeration);
-    the composites are judged by their own simulation.  Cases are run in
-    index order, so output is reproducible for a fixed seed.
+    Both oracles consult only the operands' enumerated languages; each
+    composite is judged by enumerating its own language.  Enumeration runs
+    on each automaton's integer kernel, and the tests check it against a
+    set-based brute force.  Cases are run in index order, so output is
+    reproducible for a fixed seed.
     """
     if cases < 0:
         raise ValueError(f"cases must be >= 0, got {cases}")

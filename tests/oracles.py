@@ -2,11 +2,12 @@
 
 ``oracle_accepts`` decides acceptance by a top-down search over individual
 runs, which shares no code with the frontier simulation in the package.
-``reference_witness``, ``reference_determinize`` and
-``reference_equivalent`` are the set-based search, subset construction
-and product equivalence that the package's integer kernel replaced; they
-run on the public set-based ``step``, ``epsilon_closure``, ``product`` and
-``is_empty``, so the kernel is judged by code that never touches it.
+``reference_witness``, ``reference_determinize``, ``reference_equivalent``
+and ``reference_enumerate_language`` are the set-based search, subset
+construction, product equivalence and brute-force enumeration that the
+package's integer kernel replaced; they run on the public set-based
+``step``, ``epsilon_closure``, ``product`` and ``is_empty``, so the kernel
+is judged by code that never touches it.
 ``reference_elaborate`` is the recursive fold of ``instantiate``,
 ``concat`` and ``parallel`` that the one-pass ``elaborate`` replaced.
 The string predicates describe the bundled devices' languages directly.
@@ -25,6 +26,7 @@ from nfalgebra import (
     Device,
     DeviceEnvironment,
     Dfa,
+    EnumerationBoundError,
     EquivalenceVerdict,
     InvalidDeviceError,
     RunWitness,
@@ -150,6 +152,40 @@ def reference_equivalent(a: Automaton, b: Automaton) -> EquivalenceVerdict:
     right = reference_determinize(pad_alphabet(b, union))
     counterexample = is_empty(product(left, right, lambda x, y: x != y))
     return EquivalenceVerdict(counterexample is None, counterexample)
+
+
+def reference_enumerate_language(
+    automaton: Automaton, max_len: int, cap: int = 10
+) -> list[Word]:
+    """Every word simulated directly with ``step``, depth first in prefix
+    order (shared prefixes share their frontier), then sorted.
+
+    ``step`` reports the first undeclared state it meets in a frontier;
+    frontiers are passed to it sorted, so that is the least one, where a
+    set's iteration order would make it depend on hashing.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    if max_len > cap:
+        raise EnumerationBoundError(
+            f"max_len {max_len} exceeds the configured cap {cap}"
+        )
+    letters = automaton.letters()
+    accepted: list[Word] = []
+
+    def explore(prefix: Word, frontier: frozenset[StateId], remaining: int) -> None:
+        if not automaton.finals.isdisjoint(frontier):
+            accepted.append(prefix)
+        if remaining == 0:
+            return
+        for sym in letters:
+            successor = step(automaton, sorted(frontier), sym)
+            if successor:  # a dead frontier never accepts anything below it
+                explore(prefix + (sym,), successor, remaining - 1)
+
+    explore((), epsilon_closure(automaton, (automaton.initial,)), max_len)
+    accepted.sort(key=lambda w: (len(w), tuple(symbol_key(s) for s in w)))
+    return accepted
 
 
 def reference_elaborate(expr: CompositionExpr, env: DeviceEnvironment) -> Automaton:

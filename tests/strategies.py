@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import strategies as st
 
 from nfalgebra import (
@@ -11,11 +13,13 @@ from nfalgebra import (
     Device,
     Parallel,
     StateId,
+    concat,
     instantiate,
     letter,
     pad_alphabet,
     parallel,
 )
+from nfalgebra.properties import random_automaton
 
 LETTERS = (letter("a"), letter("b"))
 
@@ -73,4 +77,44 @@ def expressions(names: list[str], max_leaves: int = 10):
         st.sampled_from(names).map(Device),
         lambda sub: st.builds(Concat, sub, sub) | st.builds(Parallel, sub, sub),
         max_leaves=max_leaves,
+    )
+
+
+@st.composite
+def seeded_automata(draw) -> Automaton:
+    """A ``properties.random_automaton`` device, or the sequential or
+    branching composite of two, as the composition-law suite builds them."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    left = random_automaton(rng)
+    shape = draw(st.sampled_from(("device", "concat", "parallel")))
+    if shape == "device":
+        return left
+    combine = concat if shape == "concat" else parallel
+    return combine(instantiate(left, "L"), instantiate(random_automaton(rng), "R"))
+
+
+GHOSTS = (StateId((), "g0"), StateId((), "g1"))
+
+
+@st.composite
+def invalid_automata(draw) -> Automaton:
+    """A seeded automaton that may be broken: edges out of or into the
+    undeclared states ``GHOSTS`` (on letters or the empty string), a
+    ghost initial or final state, the empty-string symbol as a letter."""
+    base = draw(seeded_automata())
+    endpoints = sorted(base.states) + list(GHOSTS)
+    transitions = dict(base.transitions)
+    for _ in range(draw(st.integers(0, 4))):
+        source = draw(st.sampled_from(endpoints))
+        symbol = draw(st.sampled_from((*LETTERS, EPSILON)))
+        target = draw(st.sampled_from(endpoints))
+        transitions[(source, symbol)] = transitions.get(
+            (source, symbol), frozenset()
+        ) | {target}
+    return Automaton(
+        alphabet=base.alphabet | draw(st.sampled_from((set(), {EPSILON}))),
+        states=base.states,
+        initial=draw(st.sampled_from((base.initial, base.initial, GHOSTS[0]))),
+        transitions=transitions,
+        finals=base.finals | set(draw(st.lists(st.sampled_from(GHOSTS)))),
     )

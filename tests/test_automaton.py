@@ -1,6 +1,12 @@
 """Core automaton semantics: values, validation, simulation, witnesses."""
 
+import copy
+import dataclasses
+import pickle
 import random
+import sys
+import threading
+import uuid
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +14,7 @@ from hypothesis import given, settings
 from nfalgebra import (
     EPSILON,
     Automaton,
+    StateId,
     Symbol,
     UnknownStateError,
     UnknownSymbolError,
@@ -65,6 +72,143 @@ class TestStateId:
     def test_malformed_names_rejected(self, bad):
         with pytest.raises(ValueError):
             state(bad)
+
+
+def build_in_threads(build, count: int = 8) -> list:
+    """Run ``build()`` in ``count`` threads released at once; their results."""
+    results: list = [None] * count
+    start = threading.Barrier(count)
+
+    def work(slot: int) -> None:
+        start.wait(timeout=10)
+        results[slot] = build()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+class TestValueSemantics:
+    """What ``StateId`` and ``Symbol`` promise as values."""
+
+    def test_repr(self):
+        assert repr(state("L.R.p0")) == "StateId(namespace=('L', 'R'), local='p0')"
+        assert repr(state("p0")) == "StateId(namespace=(), local='p0')"
+        assert repr(A) == "Symbol(token='a')"
+        assert repr(EPSILON) == "Symbol(token=None)"
+
+    def test_match_args(self):
+        assert StateId.__match_args__ == ("namespace", "local")
+        assert Symbol.__match_args__ == ("token",)
+
+    def test_assignment_raises(self):
+        for value, field in ((state("L.p0"), "local"), (A, "token")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field, "x")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, field)
+        assert str(state("L.p0")) == "L.p0" and A.token == "a"
+
+    def test_sorted_is_by_namespace_then_local(self):
+        names = ["R.p0", "p1", "L.R.p0", "L.p1", "p0", "L.p0", "R.L.p0", "L.L.q"]
+        states = [state(text) for text in names]
+        assert sorted(states) == sorted(
+            states, key=lambda s: (s.namespace, s.local)
+        )
+        assert state("L.p0") <= state("L.p0") >= state("L.p0")
+        assert state("R.p0") > state("L.p9")
+
+    def test_symbols_are_unordered(self):
+        with pytest.raises(TypeError):
+            Symbol("a") < Symbol("b")  # noqa: B015
+        with pytest.raises(TypeError):
+            sorted([letter("b"), letter("a")])
+
+    def test_state_and_other_values_never_compare(self):
+        assert state("a") != letter("a")
+        assert state("a") != ((), "a")
+        with pytest.raises(TypeError):
+            state("a") < ((), "a")  # noqa: B015
+
+    def test_separately_built_values_are_equal(self):
+        pairs = [
+            (state("L.R.p0"), StateId(("L", "R"), "p0")),
+            (StateId(namespace=("L",), local="q"), state("L.q")),
+            (letter("a"), Symbol("a")),
+            (Symbol(None), EPSILON),
+        ]
+        for first, second in pairs:
+            assert first == second
+            assert hash(first) == hash(second)
+            assert len({first, second}) == 1
+        assert state("L.p0") != state("R.p0") and letter("a") != letter("b")
+
+    def test_pickle_and_copy_round_trips(self):
+        values = [state("L.R.p0"), state("p0"), letter("a"), EPSILON]
+        for value in values:
+            for copied in (
+                pickle.loads(pickle.dumps(value)),
+                copy.copy(value),
+                copy.deepcopy(value),
+            ):
+                assert copied == value
+                assert hash(copied) == hash(value)
+                assert repr(copied) == repr(value)
+        assert pickle.loads(pickle.dumps(values)) == values
+
+    def test_threads_build_equal_values(self):
+        prefix = f"race{uuid.uuid4().hex}"
+        names = [f"{prefix}.s{i}" for i in range(500)]
+        results = build_in_threads(
+            lambda: [(state(text), letter(text)) for text in names]
+        )
+        expected = [(state(text), letter(text)) for text in names]
+        assert results == [expected] * len(results)
+
+
+class TestInterning:
+    """Equal values are one object, so ``==`` and ``hash`` are identity."""
+
+    def test_equal_values_are_one_object(self):
+        assert state("L.R.p0") is StateId(("L", "R"), "p0")
+        assert StateId(["L"], "q") is state("L.q")
+        assert Symbol("a") is letter("a")
+        assert Symbol(None) is EPSILON
+
+    def test_round_trips_return_the_interned_object(self):
+        for value in (state("L.R.p0"), letter("a"), EPSILON):
+            assert pickle.loads(pickle.dumps(value)) is value
+            assert copy.copy(value) is value
+            assert copy.deepcopy(value) is value
+
+    def test_threads_get_one_object_per_name(self):
+        prefix = f"race{uuid.uuid4().hex}"
+        names = [f"{prefix}.s{i}" for i in range(500)]
+        results = build_in_threads(
+            lambda: [(state(text), letter(text)) for text in names]
+        )
+        for built in zip(*results):
+            assert all(s is built[0][0] and t is built[0][1] for s, t in built)
+
+    def test_rejected_names_raise_every_time(self):
+        state("L.R.p0")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^state name 'a b' contains"):
+                StateId(("L",), "a b")
+            # Known segments are skipped; the first bad one is still named.
+            with pytest.raises(ValueError, match="^namespace segment 'x y' contains"):
+                StateId(("L", "R", "x y", "#"), "p0")
+            with pytest.raises(ValueError, match="'#', the comment mark"):
+                Symbol("x#y")
 
 
 class TestValidate:

@@ -1,6 +1,7 @@
 """The integer kernel against the set-based references it replaced.
 
-``accepts``, ``witness``, ``determinize`` and ``equivalent`` run on a dense
+``accepts``, ``witness``, ``determinize``, ``equivalent`` and
+``enumerate_language`` run on a dense
 bitmask form compiled once per automaton.  Each is compared for exact
 equality with the set-based reference in ``tests/oracles.py``, which runs
 on the public ``step``/``epsilon_closure``/``product``/``is_empty`` and
@@ -12,6 +13,7 @@ import threading
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nfalgebra import (
     EPSILON,
@@ -20,6 +22,7 @@ from nfalgebra import (
     UnknownSymbolError,
     accepts,
     determinize,
+    enumerate_language,
     equivalent,
     instantiate,
     letter,
@@ -31,10 +34,18 @@ from nfalgebra import (
 from .oracles import (
     oracle_accepts,
     reference_determinize,
+    reference_enumerate_language,
     reference_equivalent,
     reference_witness,
 )
-from .strategies import LETTERS, automata, words
+from .strategies import (
+    GHOSTS,
+    LETTERS,
+    automata,
+    invalid_automata,
+    seeded_automata,
+    words,
+)
 
 A, B = letter("a"), letter("b")
 S0, S1, S2 = state("s0"), state("s1"), state("s2")
@@ -87,6 +98,59 @@ class TestAgainstReferences:
         )
         for left, right in ((n1, wide), (wide, n2), (n2, n1)):
             assert equivalent(left, right) == reference_equivalent(left, right)
+
+
+def outcome(function, *args):
+    """The result of ``function(*args)``, or the type and text of the
+    simulation error it raises."""
+    try:
+        return function(*args)
+    except (UnknownStateError, UnknownSymbolError) as error:
+        return type(error), str(error)
+
+
+# s0 -a-> s1 -a-> g0 and s0 -b-> g1, with g0 and g1 undeclared: the move
+# into g1 is met first breadth first, the one into g0 first in prefix order.
+DEEP_GHOST = Automaton(
+    alphabet=frozenset(LETTERS),
+    states=frozenset({S0, S1}),
+    initial=S0,
+    transitions={
+        (S0, A): frozenset({S1}),
+        (S1, A): frozenset({GHOSTS[0]}),
+        (S0, B): frozenset({GHOSTS[1]}),
+    },
+    finals=frozenset({S1}),
+)
+
+
+class TestEnumerateLanguage:
+    @given(seeded_automata(), st.integers(0, 6))
+    @example(EPSILON_CYCLE, 5)
+    @settings(max_examples=150)
+    def test_matches_reference(self, automaton, max_len):
+        assert enumerate_language(automaton, max_len) == (
+            reference_enumerate_language(automaton, max_len)
+        )
+
+    @given(invalid_automata(), st.integers(0, 4))
+    @example(DEEP_GHOST, 2)
+    @example(DEEP_GHOST, 1)
+    @settings(max_examples=300)
+    def test_invalid_automata_raise_as_the_reference(self, automaton, max_len):
+        assert outcome(enumerate_language, automaton, max_len) == outcome(
+            reference_enumerate_language, automaton, max_len
+        )
+
+    def test_first_failure_in_prefix_order(self):
+        assert outcome(enumerate_language, DEEP_GHOST, 2) == (
+            UnknownStateError,
+            "unknown states: g0",
+        )
+        assert outcome(enumerate_language, DEEP_GHOST, 1) == (
+            UnknownStateError,
+            "unknown states: g1",
+        )
 
 
 class TestInvalidAutomata:
