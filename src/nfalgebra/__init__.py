@@ -4,10 +4,10 @@ Automata are immutable values; two operators combine them (sequential
 composition via empty-string bridges out of final states, and parallel
 composition via a fresh forking root), and composites are ordinary
 automata that compose again.  The package also ships deterministic
-analysis (subset construction, products, equivalence with
-counterexamples, bounded enumeration), control-flow traces that show
-which device is active and where control is handed over, canonical text
-formats, DOT export, and a seeded property suite.
+analysis (subset construction, equivalence with counterexamples, bounded
+enumeration), control-flow traces that show which device is active and
+where control is handed over, canonical text formats, DOT export, and a
+seeded property suite.
 """
 
 from .algebra import (
@@ -27,24 +27,21 @@ from .algebra import (
     subexpressions,
 )
 from .analysis import (
-    AlphabetMismatchError,
     Dfa,
     EnumerationBoundError,
     EquivalenceVerdict,
-    InvalidAutomatonError,
     SubsetState,
     determinize,
     dfa_accepts,
     dfa_to_automaton,
     enumerate_language,
     equivalent,
-    is_empty,
-    product,
 )
 from .automaton import (
     EPSILON,
     EPSILON_TOKEN,
     Automaton,
+    InvalidAutomatonError,
     RunWitness,
     StateId,
     Symbol,
@@ -105,7 +102,6 @@ __all__ = [
     "EPSILON",
     "EPSILON_TOKEN",
     "Activate",
-    "AlphabetMismatchError",
     "Automaton",
     "CompositionExpr",
     "Concat",
@@ -147,7 +143,6 @@ __all__ = [
     "equivalent",
     "format_word",
     "instantiate",
-    "is_empty",
     "leaf_devices",
     "letter",
     "pad_alphabet",
@@ -156,7 +151,6 @@ __all__ = [
     "parse_automaton",
     "parse_expression",
     "parse_input",
-    "product",
     "render_automaton",
     "render_dot",
     "render_expression",

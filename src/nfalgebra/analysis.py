@@ -1,9 +1,9 @@
 """Deterministic analysis of automata.
 
-Subset construction, synchronous products, language equivalence with
-counterexamples, and bounded enumeration.  Subset construction,
-equivalence and enumeration run on the automaton's cached integer kernel;
-``product`` and ``is_empty`` work on ``Dfa`` tables.
+Subset construction, language equivalence with counterexamples, and
+bounded enumeration, all on the automaton's cached integer kernel; an
+automaton that ``validate`` rejects raises ``InvalidAutomatonError`` when
+its kernel is compiled.
 """
 
 from __future__ import annotations
@@ -11,24 +11,21 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .automaton import (
-    EPSILON,
     Automaton,
+    InvalidAutomatonError,
     StateId,
     Symbol,
-    UnknownStateError,
     UnknownSymbolError,
     Word,
     _kernel,
-    pad_alphabet,
+    _on_union_alphabet,
     symbol_key,
-    validate,
 )
 
 __all__ = [
-    "AlphabetMismatchError",
     "Dfa",
     "EnumerationBoundError",
     "EquivalenceVerdict",
@@ -39,19 +36,9 @@ __all__ = [
     "dfa_to_automaton",
     "enumerate_language",
     "equivalent",
-    "is_empty",
-    "product",
 ]
 
 SubsetState = tuple[StateId, ...]
-
-
-class AlphabetMismatchError(ValueError):
-    """Product operands must share one alphabet; pad to the union first."""
-
-
-class InvalidAutomatonError(ValueError):
-    """The operation requires an automaton that passes validation."""
 
 
 class EnumerationBoundError(ValueError):
@@ -92,13 +79,6 @@ class EquivalenceVerdict:
     counterexample: Word | None
 
 
-def _require_valid(automaton: Automaton) -> None:
-    problems = validate(automaton)
-    if problems:
-        codes = "; ".join(v.code for v in problems)
-        raise InvalidAutomatonError(f"invalid automaton: {codes}")
-
-
 def determinize(automaton: Automaton) -> Dfa:
     """Subset construction.
 
@@ -106,7 +86,6 @@ def determinize(automaton: Automaton) -> Dfa:
     subset states; the empty sink shows up exactly when some move reaches
     it.  The result accepts the same language as the input.
     """
-    _require_valid(automaton)
     kernel = _kernel(automaton)
     subsets = {kernel.start: kernel.subset(kernel.start)}
     table: dict[tuple[SubsetState, Symbol], SubsetState] = {}
@@ -146,71 +125,6 @@ def dfa_accepts(dfa: Dfa, input_word: Iterable[Symbol]) -> bool:
     return current in dfa.finals
 
 
-def product(
-    left: Dfa, right: Dfa, combine: Callable[[bool, bool], bool]
-) -> Dfa:
-    """Synchronous product of two DFAs over the same alphabet.
-
-    A pair state is final iff ``combine(left-final?, right-final?)``.  Pair
-    states are encoded by tagging each side's members with an L/R namespace
-    and taking the union, which keeps the result an ordinary Dfa.
-    """
-    if left.alphabet != right.alphabet:
-        raise AlphabetMismatchError(
-            "product requires identical alphabets; pad to the union first"
-        )
-    letters = sorted(left.alphabet, key=symbol_key)
-
-    def encode(ls: SubsetState, rs: SubsetState) -> SubsetState:
-        tagged = [StateId(("L", *s.namespace), s.local) for s in ls]
-        tagged += [StateId(("R", *s.namespace), s.local) for s in rs]
-        return tuple(sorted(tagged))
-
-    start = (left.initial, right.initial)
-    table: dict[tuple[SubsetState, Symbol], SubsetState] = {}
-    states: set[SubsetState] = set()
-    finals: set[SubsetState] = set()
-    seen: set[tuple[SubsetState, SubsetState]] = {start}
-    queue: deque[tuple[SubsetState, SubsetState]] = deque([start])
-    while queue:
-        ls, rs = queue.popleft()
-        here = encode(ls, rs)
-        states.add(here)
-        if combine(ls in left.finals, rs in right.finals):
-            finals.add(here)
-        for sym in letters:
-            successor = (left.transition[(ls, sym)], right.transition[(rs, sym)])
-            table[(here, sym)] = encode(*successor)
-            if successor not in seen:
-                seen.add(successor)
-                queue.append(successor)
-    return Dfa(
-        left.alphabet, frozenset(states), encode(*start), table, frozenset(finals)
-    )
-
-
-def is_empty(dfa: Dfa) -> Word | None:
-    """None when the language is empty, else its least word.
-
-    Breadth-first over the table with letters in canonical order, so the
-    returned word is the shortest accepted one, lexicographically least
-    among the shortest.
-    """
-    letters = sorted(dfa.alphabet, key=symbol_key)
-    reached: dict[SubsetState, Word] = {dfa.initial: ()}
-    queue: deque[SubsetState] = deque([dfa.initial])
-    while queue:
-        current = queue.popleft()
-        if current in dfa.finals:
-            return reached[current]
-        for sym in letters:
-            successor = dfa.transition[(current, sym)]
-            if successor not in reached:
-                reached[successor] = reached[current] + (sym,)
-                queue.append(successor)
-    return None
-
-
 def equivalent(a: Automaton, b: Automaton) -> EquivalenceVerdict:
     """Decide whether two automata accept the same language.
 
@@ -222,11 +136,7 @@ def equivalent(a: Automaton, b: Automaton) -> EquivalenceVerdict:
     otherwise the word reaching it is the shortest counterexample,
     lexicographically least among the shortest.
     """
-    _require_valid(a)
-    _require_valid(b)
-    union = a.alphabet | b.alphabet
-    left = _kernel(pad_alphabet(a, union))
-    right = _kernel(pad_alphabet(b, union))
+    left, right = map(_kernel, _on_union_alphabet(a, b))
     start = (left.start, right.start)
     parents: dict[tuple[int, int], tuple[tuple[int, int], int] | None]
     parents = {start: None}
@@ -259,11 +169,6 @@ def enumerate_language(
     order keeps the next level in that order, so the result needs no sort.
     Each (frontier, letter) move is computed once per call; a dead frontier
     is dropped with every word below it.
-
-    An invalid automaton raises what simulating every word in prefix order
-    with ``step`` would raise first: ``UnknownStateError`` for an undeclared
-    initial state or for a move out of or into an undeclared state, and
-    ``UnknownSymbolError`` for the empty-string symbol stored as a letter.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -272,15 +177,9 @@ def enumerate_language(
             f"max_len {max_len} exceeds the configured cap {cap}"
         )
     kernel = _kernel(automaton)
-    kernel.check_initial()
-    if max_len and EPSILON in automaton.alphabet:
-        raise UnknownSymbolError(f"symbol {EPSILON} is not a letter of the alphabet")
     letters = list(enumerate(kernel.letters))
     finals = kernel.finals
-    # Successor per frontier, per letter; -1 marks a move that raises.
     memo: list[dict[int, int]] = [{} for _ in letters]
-    # The least word, in prefix order, whose last move raises, and that move.
-    failure: tuple[tuple[str, ...], int, int] | None = None
     accepted: list[Word] = []
     level: list[tuple[Word, int]] = [((), kernel.start)]
     for length in range(max_len + 1):
@@ -293,22 +192,10 @@ def enumerate_language(
                 known = memo[k]
                 successor = known.get(mask)
                 if successor is None:
-                    try:
-                        if kernel.undeclared:
-                            kernel.check_declared(mask, k)
-                        successor = kernel.advance(mask, k)
-                    except UnknownStateError:
-                        successor = -1
-                    known[mask] = successor
-                if successor > 0:
+                    successor = known[mask] = kernel.advance(mask, k)
+                if successor:
                     following.append((w + (sym,), successor))
-                elif successor < 0:
-                    spelled = tuple(s.token for s in w) + (sym.token,)
-                    if failure is None or spelled < failure[0]:
-                        failure = (spelled, mask, k)
         level = following
-    if failure is not None:
-        kernel.check_declared(failure[1], failure[2])
     return accepted
 
 

@@ -13,7 +13,9 @@ letters are interned in tables that only grow; each new entry goes in with
 one ``dict.setdefault``, so threads that race on a name share one object.
 Simulation runs on a dense integer kernel that each automaton compiles on
 first use and caches outside its fields; compiling is idempotent, so a race
-to compile needs no lock.
+to compile needs no lock.  Compiling rejects an automaton that ``validate``
+rejects, so every operation that simulates raises ``InvalidAutomatonError``
+for one.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "EPSILON",
     "EPSILON_TOKEN",
     "Automaton",
+    "InvalidAutomatonError",
     "RunWitness",
     "StateId",
     "Symbol",
@@ -57,6 +60,10 @@ class UnknownSymbolError(ValueError):
 
 class UnknownStateError(ValueError):
     """A referenced state is not part of the automaton."""
+
+
+class InvalidAutomatonError(ValueError):
+    """The operation requires an automaton that passes validation."""
 
 
 class _Interned:
@@ -350,6 +357,11 @@ def validate(automaton: Automaton) -> list[Violation]:
     return report
 
 
+def _invalid(automaton: Automaton) -> InvalidAutomatonError:
+    codes = "; ".join(v.code for v in validate(automaton))
+    return InvalidAutomatonError(f"invalid automaton: {codes}")
+
+
 def epsilon_closure(
     automaton: Automaton, sources: Iterable[StateId]
 ) -> frozenset[StateId]:
@@ -375,14 +387,18 @@ def step(
     """One letter of simulation.
 
     Moves every state of ``current`` (assumed already closed) on ``symbol``,
-    then closes the result under empty-string moves.
+    then closes the result under empty-string moves.  A state of
+    ``current`` that is not declared raises ``UnknownStateError`` naming
+    the least such state.
     """
     if symbol.is_epsilon or symbol not in automaton.alphabet:
         raise UnknownSymbolError(f"symbol {symbol} is not a letter of the alphabet")
+    sources = list(current)
+    unknown = [s for s in sources if s not in automaton.states]
+    if unknown:
+        raise UnknownStateError(f"unknown state: {min(unknown)}")
     moved: set[StateId] = set()
-    for source in current:
-        if source not in automaton.states:
-            raise UnknownStateError(f"unknown state: {source}")
+    for source in sources:
         moved.update(automaton.targets(source, symbol))
     return epsilon_closure(automaton, moved)
 
@@ -423,9 +439,11 @@ class _Kernel:
     ``symbol_key`` order, so comparing indices orders them as the values
     do.  A set of states is an ``int`` bitmask: ``closure[i]`` is the
     empty-string closure of state ``i`` and ``successors[k][i]`` the closed
-    successor mask of state ``i`` on letter ``k``.  Every state that occurs
-    anywhere in the automaton gets an index, declared or not, so an invalid
-    automaton simulates exactly as the set-based ``step`` does.
+    successor mask of state ``i`` on letter ``k``.
+
+    Compiling is the one validity gate: an automaton that ``validate``
+    rejects raises ``InvalidAutomatonError`` here, so nothing that runs on
+    the kernel meets an undeclared state or an unknown letter.
 
     Nothing changes after construction except ``_moves``, which ``witness``
     builds on first use; building is idempotent, so threads racing on it at
@@ -433,33 +451,31 @@ class _Kernel:
     """
 
     def __init__(self, automaton: Automaton) -> None:
-        everything = set(automaton.states)
-        everything.add(automaton.initial)
-        everything.update(automaton.finals)
-        for (source, _), targets in automaton.transitions.items():
-            everything.add(source)
-            everything.update(targets)
-        self.states: tuple[StateId, ...] = tuple(sorted(everything))
+        if EPSILON in automaton.alphabet:
+            raise _invalid(automaton)
+        self.states: tuple[StateId, ...] = tuple(sorted(automaton.states))
         index = {s: i for i, s in enumerate(self.states)}
-        self.letters: tuple[Symbol, ...] = tuple(
-            s for s in automaton.letters() if not s.is_epsilon
-        )
+        self.letters: tuple[Symbol, ...] = tuple(automaton.letters())
         # Keyed by token: this lookup is the whole alphabet check, and the
         # token a miss reports is what the error message names.
         self.letter_index = {s.token: k for k, s in enumerate(self.letters)}
-        self.initial = index[automaton.initial]
-        self.finals = sum(1 << index[s] for s in automaton.finals)
-        self.undeclared = sum(
-            1 << i for i, s in enumerate(self.states) if s not in automaton.states
-        )
         self.epsilon: list[list[int]] = [[] for _ in self.states]
         self.direct: list[list[int]] = [[0] * len(self.states) for _ in self.letters]
-        for (source, symbol), targets in automaton.transitions.items():
-            if symbol.is_epsilon:
-                self.epsilon[index[source]].extend(sorted(index[t] for t in targets))
-            elif symbol.token in self.letter_index:
-                row = self.direct[self.letter_index[symbol.token]]
-                row[index[source]] = sum(1 << index[t] for t in targets)
+        # A lookup that misses is an undeclared state or an edge letter
+        # outside the alphabet: exactly what ``validate`` reports.
+        try:
+            self.initial = index[automaton.initial]
+            self.finals = sum(1 << index[s] for s in automaton.finals)
+            for (source, symbol), targets in automaton.transitions.items():
+                if symbol.is_epsilon:
+                    self.epsilon[index[source]].extend(
+                        sorted(index[t] for t in targets)
+                    )
+                else:
+                    row = self.direct[self.letter_index[symbol.token]]
+                    row[index[source]] = sum(1 << index[t] for t in targets)
+        except KeyError:
+            raise _invalid(automaton) from None
         self.closure = _closures(self.epsilon)
         self.start = self.closure[self.initial]
         self.successors = [[self.close(mask) for mask in row] for row in self.direct]
@@ -499,16 +515,11 @@ class _Kernel:
                 f"symbol {shown} is not a letter of the alphabet"
             ) from None
 
-    def run(self, indices: list[int], checked: bool) -> int:
+    def run(self, indices: list[int]) -> int:
         """The frontier after reading ``indices``; 0 once it dies.
 
-        With ``checked``, a run that starts at an undeclared state, moves
-        out of one or moves into one raises ``UnknownStateError``, at the
-        letter where ``step`` would.  Only memo misses pay for the test.
         The memo (frontier to successor, per letter) lives for this call.
         """
-        if checked:
-            self.check_initial()
         memo: list[dict[int, int]] = [{} for _ in self.letters]
         current = self.start
         for k in indices:
@@ -517,29 +528,9 @@ class _Kernel:
             known = memo[k]
             following = known.get(current)
             if following is None:
-                if checked and self.undeclared:
-                    self.check_declared(current, k)
                 following = known[current] = self.advance(current, k)
             current = following
         return current
-
-    def check_initial(self) -> None:
-        """Raise ``UnknownStateError`` if the initial state is undeclared."""
-        if self.undeclared >> self.initial & 1:
-            raise UnknownStateError(f"unknown states: {self.states[self.initial]}")
-
-    def check_declared(self, mask: int, letter_index: int) -> None:
-        """Raise ``UnknownStateError`` where ``step`` would on this move."""
-        sources = mask & self.undeclared
-        if sources:
-            raise UnknownStateError(f"unknown state: {self.subset(sources)[0]}")
-        moved = 0
-        for i in _bits(mask):
-            moved |= self.direct[letter_index][i]
-        targets = moved & self.undeclared
-        if targets:
-            listed = ", ".join(str(s) for s in self.subset(targets))
-            raise UnknownStateError(f"unknown states: {listed}")
 
     def moves(self) -> tuple[list[list[tuple[int, ...]]], list[tuple[int, ...]]]:
         """The moves of ``witness``'s search, as offsets between configurations.
@@ -590,7 +581,7 @@ def accepts(automaton: Automaton, input_word: Iterable[Symbol]) -> bool:
     spell them out.  True iff some run over the input ends in a final state.
     """
     kernel = _kernel(automaton)
-    return bool(kernel.run(kernel.indices(input_word), checked=True) & kernel.finals)
+    return bool(kernel.run(kernel.indices(input_word)) & kernel.finals)
 
 
 @dataclass(frozen=True)
@@ -620,7 +611,7 @@ def witness(automaton: Automaton, input_word: Iterable[Symbol]) -> RunWitness | 
     input_word = tuple(input_word)
     kernel = _kernel(automaton)
     indices = kernel.indices(input_word)
-    if not kernel.run(indices, checked=False) & kernel.finals:
+    if not kernel.run(indices) & kernel.finals:
         return None
     on_letter, on_epsilon = kernel.moves()
     n, end = len(kernel.states), len(input_word)
@@ -700,3 +691,16 @@ def pad_alphabet(automaton: Automaton, extra: Iterable[Symbol]) -> Automaton:
         transitions=dict(automaton.transitions),
         finals=automaton.finals,
     )
+
+
+def _on_union_alphabet(a: Automaton, b: Automaton) -> tuple[Automaton, Automaton]:
+    """Both automata padded to their union alphabet.
+
+    Each is compiled as given first, so an invalid one raises
+    ``InvalidAutomatonError`` even when padding would declare the letter of
+    its stray edge.
+    """
+    _kernel(a)
+    _kernel(b)
+    union = a.alphabet | b.alphabet
+    return pad_alphabet(a, union), pad_alphabet(b, union)

@@ -33,7 +33,9 @@ Expression grammar (``;`` composes sequentially and binds tighter than
 
 Input words on the wire: when every alphabet letter is one character, a
 word is a bare string like ``aabaaaab``; otherwise letters are separated
-by commas.  The lone token ``eps`` (or an empty string) is the empty word.
+by commas.  Text holding a comma is read as comma-separated whatever the
+alphabet, so the word e·p·s is spelled ``e,p,s``: the lone token ``eps``
+(or an empty string) is the empty word.
 """
 
 from __future__ import annotations
@@ -467,7 +469,7 @@ def parse_input(text: str, alphabet: Iterable[Symbol]) -> Word:
         return ()
     diagnostics: list[ParseDiagnostic] = []
     out: list[Symbol] = []
-    if all(len(token) == 1 for token in by_token):
+    if "," not in text and all(len(token) == 1 for token in by_token):
         for index, ch in enumerate(text):
             found = by_token.get(ch)
             if found is None:
@@ -508,6 +510,7 @@ def format_word(input_word: Word) -> str:
     if not input_word:
         return EPSILON_TOKEN
     tokens = [str(s) for s in input_word]
-    if all(len(t) == 1 for t in tokens):
-        return "".join(tokens)
+    bare = "".join(tokens)
+    if all(len(t) == 1 for t in tokens) and bare != EPSILON_TOKEN:
+        return bare
     return ",".join(tokens)

@@ -30,6 +30,7 @@ from .automaton import (
     StateId,
     Symbol,
     Word,
+    _on_union_alphabet,
     accepts,
     pad_alphabet,
     witness,
@@ -188,9 +189,7 @@ def splits(
     the operands over their union alphabet.  Never consults a composite.
     """
     input_word = tuple(input_word)
-    union = left.alphabet | right.alphabet
-    padded_left = pad_alphabet(left, union)
-    padded_right = pad_alphabet(right, union)
+    padded_left, padded_right = _on_union_alphabet(left, right)
     return {
         i
         for i in range(len(input_word) + 1)
@@ -204,8 +203,5 @@ def parallel_verdicts(
 ) -> tuple[bool, bool]:
     """Each operand's verdict on its own full copy of the input."""
     input_word = tuple(input_word)
-    union = left.alphabet | right.alphabet
-    return (
-        accepts(pad_alphabet(left, union), input_word),
-        accepts(pad_alphabet(right, union), input_word),
-    )
+    padded_left, padded_right = _on_union_alphabet(left, right)
+    return accepts(padded_left, input_word), accepts(padded_right, input_word)

@@ -6,8 +6,10 @@ runs, which shares no code with the frontier simulation in the package.
 and ``reference_enumerate_language`` are the set-based search, subset
 construction, product equivalence and brute-force enumeration that the
 package's integer kernel replaced; they run on the public set-based
-``step``, ``epsilon_closure``, ``product`` and ``is_empty``, so the kernel
-is judged by code that never touches it.
+``step`` and ``epsilon_closure`` and on ``product`` and ``is_empty``
+below, so the kernel is judged by code that never touches it.
+``product`` and ``is_empty`` are the synchronous product of two ``Dfa``
+tables and its least-word search that the package itself no longer needs.
 ``reference_elaborate`` is the recursive fold of ``instantiate``,
 ``concat`` and ``parallel`` that the one-pass ``elaborate`` replaced.
 The string predicates describe the bundled devices' languages directly.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from typing import Callable
 
 from nfalgebra import (
     EPSILON,
@@ -31,6 +34,7 @@ from nfalgebra import (
     InvalidDeviceError,
     RunWitness,
     StateId,
+    SubsetState,
     Symbol,
     UnboundDeviceError,
     UnknownSymbolError,
@@ -38,10 +42,8 @@ from nfalgebra import (
     concat,
     epsilon_closure,
     instantiate,
-    is_empty,
     pad_alphabet,
     parallel,
-    product,
     step,
     symbol_key,
     validate,
@@ -145,6 +147,75 @@ def reference_determinize(automaton: Automaton) -> Dfa:
     return Dfa(automaton.alphabet, frozenset(seen), initial, table, frozenset(finals))
 
 
+class AlphabetMismatchError(ValueError):
+    """Product operands must share one alphabet; pad to the union first."""
+
+
+def product(
+    left: Dfa, right: Dfa, combine: Callable[[bool, bool], bool]
+) -> Dfa:
+    """Synchronous product of two DFAs over the same alphabet.
+
+    A pair state is final iff ``combine(left-final?, right-final?)``.  Pair
+    states are encoded by tagging each side's members with an L/R namespace
+    and taking the union, which keeps the result an ordinary Dfa.
+    """
+    if left.alphabet != right.alphabet:
+        raise AlphabetMismatchError(
+            "product requires identical alphabets; pad to the union first"
+        )
+    letters = sorted(left.alphabet, key=symbol_key)
+
+    def encode(ls: SubsetState, rs: SubsetState) -> SubsetState:
+        tagged = [StateId(("L", *s.namespace), s.local) for s in ls]
+        tagged += [StateId(("R", *s.namespace), s.local) for s in rs]
+        return tuple(sorted(tagged))
+
+    start = (left.initial, right.initial)
+    table: dict[tuple[SubsetState, Symbol], SubsetState] = {}
+    states: set[SubsetState] = set()
+    finals: set[SubsetState] = set()
+    seen: set[tuple[SubsetState, SubsetState]] = {start}
+    queue: deque[tuple[SubsetState, SubsetState]] = deque([start])
+    while queue:
+        ls, rs = queue.popleft()
+        here = encode(ls, rs)
+        states.add(here)
+        if combine(ls in left.finals, rs in right.finals):
+            finals.add(here)
+        for sym in letters:
+            successor = (left.transition[(ls, sym)], right.transition[(rs, sym)])
+            table[(here, sym)] = encode(*successor)
+            if successor not in seen:
+                seen.add(successor)
+                queue.append(successor)
+    return Dfa(
+        left.alphabet, frozenset(states), encode(*start), table, frozenset(finals)
+    )
+
+
+def is_empty(dfa: Dfa) -> Word | None:
+    """None when the language is empty, else its least word.
+
+    Breadth-first over the table with letters in canonical order, so the
+    returned word is the shortest accepted one, lexicographically least
+    among the shortest.
+    """
+    letters = sorted(dfa.alphabet, key=symbol_key)
+    reached: dict[SubsetState, Word] = {dfa.initial: ()}
+    queue: deque[SubsetState] = deque([dfa.initial])
+    while queue:
+        current = queue.popleft()
+        if current in dfa.finals:
+            return reached[current]
+        for sym in letters:
+            successor = dfa.transition[(current, sym)]
+            if successor not in reached:
+                reached[successor] = reached[current] + (sym,)
+                queue.append(successor)
+    return None
+
+
 def reference_equivalent(a: Automaton, b: Automaton) -> EquivalenceVerdict:
     """Both full DFAs over the union alphabet, then their difference product."""
     union = a.alphabet | b.alphabet
@@ -158,12 +229,7 @@ def reference_enumerate_language(
     automaton: Automaton, max_len: int, cap: int = 10
 ) -> list[Word]:
     """Every word simulated directly with ``step``, depth first in prefix
-    order (shared prefixes share their frontier), then sorted.
-
-    ``step`` reports the first undeclared state it meets in a frontier;
-    frontiers are passed to it sorted, so that is the least one, where a
-    set's iteration order would make it depend on hashing.
-    """
+    order (shared prefixes share their frontier), then sorted."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     if max_len > cap:
@@ -179,7 +245,7 @@ def reference_enumerate_language(
         if remaining == 0:
             return
         for sym in letters:
-            successor = step(automaton, sorted(frontier), sym)
+            successor = step(automaton, frontier, sym)
             if successor:  # a dead frontier never accepts anything below it
                 explore(prefix + (sym,), successor, remaining - 1)
 

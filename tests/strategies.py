@@ -94,25 +94,27 @@ def seeded_automata(draw) -> Automaton:
 
 
 GHOSTS = (StateId((), "g0"), StateId((), "g1"))
+EXTRA = letter("c")
 
 
 @st.composite
 def invalid_automata(draw) -> Automaton:
     """A seeded automaton that may be broken: edges out of or into the
     undeclared states ``GHOSTS`` (on letters or the empty string), a
-    ghost initial or final state, the empty-string symbol as a letter."""
+    ghost initial or final state, the empty-string symbol as a letter,
+    edges on ``EXTRA``, which the alphabet may or may not declare."""
     base = draw(seeded_automata())
     endpoints = sorted(base.states) + list(GHOSTS)
     transitions = dict(base.transitions)
     for _ in range(draw(st.integers(0, 4))):
         source = draw(st.sampled_from(endpoints))
-        symbol = draw(st.sampled_from((*LETTERS, EPSILON)))
+        symbol = draw(st.sampled_from((*LETTERS, EPSILON, EXTRA)))
         target = draw(st.sampled_from(endpoints))
         transitions[(source, symbol)] = transitions.get(
             (source, symbol), frozenset()
         ) | {target}
     return Automaton(
-        alphabet=base.alphabet | draw(st.sampled_from((set(), {EPSILON}))),
+        alphabet=base.alphabet | draw(st.sampled_from((set(), {EPSILON}, {EXTRA}))),
         states=base.states,
         initial=draw(st.sampled_from((base.initial, base.initial, GHOSTS[0]))),
         transitions=transitions,

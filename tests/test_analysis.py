@@ -1,4 +1,5 @@
-"""Subset construction, products, equivalence, and bounded enumeration."""
+"""Subset construction, equivalence, and bounded enumeration; and the
+product and emptiness oracles in ``tests/oracles.py``."""
 
 import random
 
@@ -6,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 
 from nfalgebra import (
-    AlphabetMismatchError,
     Automaton,
     EnumerationBoundError,
     accepts,
@@ -17,7 +17,6 @@ from nfalgebra import (
     enumerate_language,
     equivalent,
     instantiate,
-    is_empty,
     letter,
     pad_alphabet,
     parallel,
@@ -27,6 +26,7 @@ from nfalgebra import (
 )
 from nfalgebra.properties import all_words, random_automaton
 
+from .oracles import AlphabetMismatchError, as_text, in_l1, in_l2, is_empty, product
 from .strategies import automata
 
 A = letter("a")
@@ -80,14 +80,10 @@ class TestDeterminize:
 
 class TestProduct:
     def test_xor_with_itself_is_empty(self, n1):
-        from nfalgebra import product
-
         dfa = determinize(n1)
         assert is_empty(product(dfa, dfa, lambda x, y: x != y)) is None
 
     def test_or_product_agrees_with_parallel_composite(self, n1, n2):
-        from nfalgebra import product
-
         disjunction = product(determinize(n1), determinize(n2), lambda x, y: x or y)
         composite = parallel(n1, n2)
         for input_word in all_words(max_len=6):
@@ -96,18 +92,12 @@ class TestProduct:
             )
 
     def test_and_product_agrees_with_joint_predicate(self, n1, n2):
-        from .oracles import as_text, in_l1, in_l2
-
-        from nfalgebra import product
-
         conjunction = product(determinize(n1), determinize(n2), lambda x, y: x and y)
         for input_word in all_words(max_len=8):
             text = as_text(input_word)
             assert dfa_accepts(conjunction, input_word) == (in_l1(text) and in_l2(text))
 
     def test_alphabet_mismatch_rejected(self, n1):
-        from nfalgebra import product
-
         padded = determinize(pad_alphabet(n1, {letter("c")}))
         with pytest.raises(AlphabetMismatchError):
             product(determinize(n1), padded, lambda x, y: x or y)

@@ -313,6 +313,13 @@ class TestStep:
         with pytest.raises(UnknownSymbolError):
             step(n1, {state("p0")}, letter("z"))
 
+    def test_names_the_least_undeclared_state(self, n1):
+        # A frozenset's iteration order depends on hashing, which differs
+        # from process to process; the message must not.
+        frontier = frozenset(state(f"g{i}") for i in range(8))
+        with pytest.raises(UnknownStateError, match="^unknown state: g0$"):
+            step(n1, frontier, A)
+
 
 class TestAccepts:
     def test_third_from_right(self, n1):

@@ -4,8 +4,9 @@
 ``enumerate_language`` run on a dense
 bitmask form compiled once per automaton.  Each is compared for exact
 equality with the set-based reference in ``tests/oracles.py``, which runs
-on the public ``step``/``epsilon_closure``/``product``/``is_empty`` and
-never touches the kernel.
+on the public ``step`` and ``epsilon_closure`` and never touches the
+kernel.  Compiling is the one validity gate: every operation that
+simulates rejects an automaton ``validate`` rejects.
 """
 
 import sys
@@ -18,15 +19,18 @@ from hypothesis import strategies as st
 from nfalgebra import (
     EPSILON,
     Automaton,
-    UnknownStateError,
-    UnknownSymbolError,
+    InvalidAutomatonError,
     accepts,
     determinize,
     enumerate_language,
     equivalent,
     instantiate,
     letter,
+    pad_alphabet,
+    parallel_verdicts,
+    splits,
     state,
+    validate,
     witness,
     word,
 )
@@ -39,7 +43,7 @@ from .oracles import (
     reference_witness,
 )
 from .strategies import (
-    GHOSTS,
+    EXTRA,
     LETTERS,
     automata,
     invalid_automata,
@@ -100,30 +104,6 @@ class TestAgainstReferences:
             assert equivalent(left, right) == reference_equivalent(left, right)
 
 
-def outcome(function, *args):
-    """The result of ``function(*args)``, or the type and text of the
-    simulation error it raises."""
-    try:
-        return function(*args)
-    except (UnknownStateError, UnknownSymbolError) as error:
-        return type(error), str(error)
-
-
-# s0 -a-> s1 -a-> g0 and s0 -b-> g1, with g0 and g1 undeclared: the move
-# into g1 is met first breadth first, the one into g0 first in prefix order.
-DEEP_GHOST = Automaton(
-    alphabet=frozenset(LETTERS),
-    states=frozenset({S0, S1}),
-    initial=S0,
-    transitions={
-        (S0, A): frozenset({S1}),
-        (S1, A): frozenset({GHOSTS[0]}),
-        (S0, B): frozenset({GHOSTS[1]}),
-    },
-    finals=frozenset({S1}),
-)
-
-
 class TestEnumerateLanguage:
     @given(seeded_automata(), st.integers(0, 6))
     @example(EPSILON_CYCLE, 5)
@@ -133,64 +113,112 @@ class TestEnumerateLanguage:
             reference_enumerate_language(automaton, max_len)
         )
 
-    @given(invalid_automata(), st.integers(0, 4))
-    @example(DEEP_GHOST, 2)
-    @example(DEEP_GHOST, 1)
-    @settings(max_examples=300)
-    def test_invalid_automata_raise_as_the_reference(self, automaton, max_len):
-        assert outcome(enumerate_language, automaton, max_len) == outcome(
-            reference_enumerate_language, automaton, max_len
-        )
 
-    def test_first_failure_in_prefix_order(self):
-        assert outcome(enumerate_language, DEEP_GHOST, 2) == (
-            UnknownStateError,
-            "unknown states: g0",
-        )
-        assert outcome(enumerate_language, DEEP_GHOST, 1) == (
-            UnknownStateError,
-            "unknown states: g1",
-        )
+# s0 -a-> ghost, with ghost undeclared: every operation must raise, also
+# one whose run never takes that edge.
+DANGLING = Automaton(
+    alphabet=frozenset(LETTERS),
+    states=frozenset({S0}),
+    initial=S0,
+    transitions={(S0, A): frozenset({state("ghost")})},
+    finals=frozenset({S0}),
+)
+
+# The initial state is not declared.
+ADRIFT = Automaton(
+    alphabet=frozenset(LETTERS),
+    states=frozenset({S0}),
+    initial=state("ghost"),
+    transitions={},
+    finals=frozenset({S0}),
+)
+
+# An edge on c, which only WIDE declares: padding STRAY to the union
+# alphabet of the two would make it valid.
+STRAY = Automaton(
+    alphabet=frozenset(LETTERS),
+    states=frozenset({S0}),
+    initial=S0,
+    transitions={(S0, A): frozenset({S0}), (S0, EXTRA): frozenset({S0})},
+    finals=frozenset({S0}),
+)
+WIDE = pad_alphabet(EPSILON_CYCLE, {EXTRA})
 
 
-class TestInvalidAutomata:
-    def test_undeclared_endpoint_raises_unknown_state(self):
-        dangling = Automaton(
-            alphabet=frozenset({A}),
-            states=frozenset({S0}),
-            initial=S0,
-            transitions={(S0, A): frozenset({state("ghost")})},
-            finals=frozenset(),
-        )
-        assert not accepts(dangling, ())
-        with pytest.raises(UnknownStateError):
-            accepts(dangling, word("a"))
-        # witness never checked declarations and still does not.
-        assert witness(dangling, word("a")) is None
+def rejection(*operands: Automaton) -> str | None:
+    """What the gate must raise for these operands, checked in order: the
+    codes of the first one that ``validate`` rejects, or None."""
+    for automaton in operands:
+        codes = [v.code for v in validate(automaton)]
+        if codes:
+            return "invalid automaton: " + "; ".join(codes)
+    return None
 
-    def test_undeclared_initial_raises_unknown_state(self):
-        adrift = Automaton(
-            alphabet=frozenset({A}),
-            states=frozenset({S0}),
-            initial=state("ghost"),
-            transitions={},
-            finals=frozenset(),
-        )
-        with pytest.raises(UnknownStateError):
-            accepts(adrift, ())
 
-    def test_unknown_letter_is_reported_before_states(self):
-        adrift = Automaton(
-            alphabet=frozenset({A}),
-            states=frozenset({S0}),
-            initial=state("ghost"),
-            transitions={},
-            finals=frozenset(),
-        )
-        with pytest.raises(UnknownSymbolError, match="^symbol z is not a letter"):
-            accepts(adrift, (A, letter("z")))
-        with pytest.raises(UnknownSymbolError):
-            accepts(adrift, (EPSILON,))
+def reference_splits(left, right, input_word):
+    return {
+        i
+        for i in range(len(input_word) + 1)
+        if oracle_accepts(left, input_word[:i])
+        and oracle_accepts(right, input_word[i:])
+    }
+
+
+def check_gate(a: Automaton, b: Automaton, input_word) -> None:
+    """Every operation that simulates raises ``InvalidAutomatonError`` with
+    ``validate``'s codes exactly when an operand is invalid as given, and
+    otherwise equals its reference."""
+    cases = [
+        (rejection(a), accepts, (a, input_word), oracle_accepts),
+        (rejection(a), witness, (a, input_word), reference_witness),
+        (rejection(a), determinize, (a,), reference_determinize),
+        (rejection(a), enumerate_language, (a, 3), reference_enumerate_language),
+        (rejection(a, b), equivalent, (a, b), reference_equivalent),
+        (rejection(b, a), equivalent, (b, a), reference_equivalent),
+        (rejection(a, b), splits, (a, b, input_word), reference_splits),
+        (
+            rejection(a, b),
+            parallel_verdicts,
+            (a, b, input_word),
+            lambda x, y, w: (oracle_accepts(x, w), oracle_accepts(y, w)),
+        ),
+    ]
+    for expected, function, args, reference in cases:
+        if expected is None:
+            assert function(*args) == reference(*args)
+        else:
+            with pytest.raises(InvalidAutomatonError) as raised:
+                function(*args)
+            assert str(raised.value) == expected
+
+
+class TestValidityGate:
+    @given(invalid_automata(), invalid_automata(), words(max_len=4))
+    @settings(max_examples=200)
+    def test_invalid_operands_raise_and_valid_ones_match_the_references(
+        self, a, b, input_word
+    ):
+        check_gate(a, b, input_word)
+
+    @pytest.mark.parametrize(
+        "broken, code, input_word",
+        [
+            pytest.param(DANGLING, "endpoint-not-in-states", (), id="dangling-edge"),
+            pytest.param(
+                DANGLING, "endpoint-not-in-states", word("a"), id="dangling-edge-run"
+            ),
+            pytest.param(
+                ADRIFT, "initial-not-in-states", word("b"), id="undeclared-initial"
+            ),
+            pytest.param(
+                STRAY, "unknown-symbol", word("ab"), id="letter-of-the-other-operand"
+            ),
+        ],
+    )
+    def test_examples(self, broken, code, input_word):
+        assert rejection(broken) == f"invalid automaton: {code}"
+        check_gate(broken, WIDE, input_word)
+        check_gate(WIDE, broken, input_word)
 
 
 class TestCache:

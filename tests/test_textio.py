@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from nfalgebra import (
     Concat,
@@ -313,3 +315,16 @@ class TestInputWords:
             assert format_word(parse_input(text, n1.alphabet)) == text
         wide = frozenset({letter("ab"), letter("cd")})
         assert format_word(parse_input("ab,cd", wide)) == "ab,cd"
+
+    @given(st.lists(st.sampled_from("epsab"), max_size=6).map("".join))
+    @example("eps")
+    @example("")
+    def test_round_trip_over_single_character_letters(self, text):
+        alphabet = frozenset(word("epsab"))
+        assert parse_input(format_word(word(text)), alphabet) == word(text)
+
+    def test_the_word_eps_is_spelled_with_commas(self):
+        alphabet = frozenset(word("eps"))
+        assert format_word(word("eps")) == "e,p,s"
+        assert parse_input("e,p,s", alphabet) == word("eps")
+        assert parse_input("eps", alphabet) == ()
