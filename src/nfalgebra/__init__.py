@@ -32,7 +32,6 @@ from .analysis import (
     EquivalenceVerdict,
     SubsetState,
     determinize,
-    dfa_accepts,
     dfa_to_automaton,
     enumerate_language,
     equivalent,
@@ -45,17 +44,14 @@ from .automaton import (
     RunWitness,
     StateId,
     Symbol,
-    UnknownStateError,
     UnknownSymbolError,
     Violation,
     Word,
     accepts,
     check_witness,
-    epsilon_closure,
     letter,
     pad_alphabet,
     state,
-    step,
     symbol_key,
     validate,
     witness,
@@ -125,7 +121,6 @@ __all__ = [
     "Symbol",
     "TraceEvent",
     "UnboundDeviceError",
-    "UnknownStateError",
     "UnknownSymbolError",
     "Verdict",
     "Violation",
@@ -135,11 +130,9 @@ __all__ = [
     "concat",
     "control_trace",
     "determinize",
-    "dfa_accepts",
     "dfa_to_automaton",
     "elaborate",
     "enumerate_language",
-    "epsilon_closure",
     "equivalent",
     "format_word",
     "instantiate",
@@ -157,7 +150,6 @@ __all__ = [
     "run_cli",
     "splits",
     "state",
-    "step",
     "subexpressions",
     "symbol_key",
     "validate",

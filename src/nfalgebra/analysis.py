@@ -3,7 +3,9 @@
 Subset construction, language equivalence with counterexamples, and
 bounded enumeration, all on the automaton's cached integer kernel; an
 automaton that ``validate`` rejects raises ``InvalidAutomatonError`` when
-its kernel is compiled.
+its kernel is compiled.  A ``Dfa`` is a table to inspect, or to repackage
+as an ordinary automaton with ``dfa_to_automaton``; words are run with
+``accepts``, on the kernel, not on the table.
 """
 
 from __future__ import annotations
@@ -11,14 +13,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .automaton import (
     Automaton,
     InvalidAutomatonError,
     StateId,
     Symbol,
-    UnknownSymbolError,
     Word,
     _kernel,
     _on_union_alphabet,
@@ -32,7 +33,6 @@ __all__ = [
     "InvalidAutomatonError",
     "SubsetState",
     "determinize",
-    "dfa_accepts",
     "dfa_to_automaton",
     "enumerate_language",
     "equivalent",
@@ -110,19 +110,6 @@ def determinize(automaton: Automaton) -> Dfa:
         table,
         frozenset(finals),
     )
-
-
-def dfa_accepts(dfa: Dfa, input_word: Iterable[Symbol]) -> bool:
-    """Walk the total transition table; no search involved."""
-    current = dfa.initial
-    for symbol in input_word:
-        key = (current, symbol)
-        if key not in dfa.transition:
-            raise UnknownSymbolError(
-                f"symbol {symbol} is not a letter of the alphabet"
-            )
-        current = dfa.transition[key]
-    return current in dfa.finals
 
 
 def equivalent(a: Automaton, b: Automaton) -> EquivalenceVerdict:

@@ -13,9 +13,10 @@ letters are interned in tables that only grow; each new entry goes in with
 one ``dict.setdefault``, so threads that race on a name share one object.
 Simulation runs on a dense integer kernel that each automaton compiles on
 first use and caches outside its fields; compiling is idempotent, so a race
-to compile needs no lock.  Compiling rejects an automaton that ``validate``
-rejects, so every operation that simulates raises ``InvalidAutomatonError``
-for one.
+to compile needs no lock.  The kernel is the one simulation path: compiling
+rejects an automaton that ``validate`` rejects, so every operation that
+simulates raises ``InvalidAutomatonError`` for one, and its letter lookup
+is the one alphabet check, which raises ``UnknownSymbolError``.
 """
 
 from __future__ import annotations
@@ -33,17 +34,14 @@ __all__ = [
     "RunWitness",
     "StateId",
     "Symbol",
-    "UnknownStateError",
     "UnknownSymbolError",
     "Violation",
     "Word",
     "accepts",
     "check_witness",
-    "epsilon_closure",
     "letter",
     "pad_alphabet",
     "state",
-    "step",
     "symbol_key",
     "validate",
     "witness",
@@ -56,10 +54,6 @@ EPSILON_TOKEN = "eps"
 
 class UnknownSymbolError(ValueError):
     """An input symbol is not a letter of the automaton's alphabet."""
-
-
-class UnknownStateError(ValueError):
-    """A referenced state is not part of the automaton."""
 
 
 class InvalidAutomatonError(ValueError):
@@ -360,47 +354,6 @@ def validate(automaton: Automaton) -> list[Violation]:
 def _invalid(automaton: Automaton) -> InvalidAutomatonError:
     codes = "; ".join(v.code for v in validate(automaton))
     return InvalidAutomatonError(f"invalid automaton: {codes}")
-
-
-def epsilon_closure(
-    automaton: Automaton, sources: Iterable[StateId]
-) -> frozenset[StateId]:
-    """Smallest superset of ``sources`` closed under empty-string moves."""
-    pending = list(sources)
-    unknown = sorted(s for s in pending if s not in automaton.states)
-    if unknown:
-        listed = ", ".join(str(s) for s in unknown)
-        raise UnknownStateError(f"unknown states: {listed}")
-    closed: set[StateId] = set()
-    while pending:
-        current = pending.pop()
-        if current in closed:
-            continue
-        closed.add(current)
-        pending.extend(automaton.targets(current, EPSILON))
-    return frozenset(closed)
-
-
-def step(
-    automaton: Automaton, current: Iterable[StateId], symbol: Symbol
-) -> frozenset[StateId]:
-    """One letter of simulation.
-
-    Moves every state of ``current`` (assumed already closed) on ``symbol``,
-    then closes the result under empty-string moves.  A state of
-    ``current`` that is not declared raises ``UnknownStateError`` naming
-    the least such state.
-    """
-    if symbol.is_epsilon or symbol not in automaton.alphabet:
-        raise UnknownSymbolError(f"symbol {symbol} is not a letter of the alphabet")
-    sources = list(current)
-    unknown = [s for s in sources if s not in automaton.states]
-    if unknown:
-        raise UnknownStateError(f"unknown state: {min(unknown)}")
-    moved: set[StateId] = set()
-    for source in sources:
-        moved.update(automaton.targets(source, symbol))
-    return epsilon_closure(automaton, moved)
 
 
 def _bits(mask: int) -> Iterator[int]:

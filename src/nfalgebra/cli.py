@@ -17,12 +17,12 @@ import json
 import sys
 import textwrap
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .algebra import elaborate
 from .analysis import determinize, dfa_to_automaton, equivalent
-from .automaton import Automaton, accepts, validate
-from .properties import run_closure_suite
+from .automaton import Automaton, Symbol, accepts, validate
+from .properties import DEFAULT_LETTERS, run_closure_suite
 from .textio import (
     ParseError,
     format_word,
@@ -187,7 +187,7 @@ def _cmd_accept(args: argparse.Namespace) -> int:
     return 0 if verdict else 1
 
 
-def _trace_payload(trace: ControlTrace) -> dict:
+def _trace_payload(trace: ControlTrace, alphabet: Iterable[Symbol]) -> dict:
     events: list[dict] = []
     for event in trace.events:
         if isinstance(event, Activate):
@@ -218,14 +218,14 @@ def _trace_payload(trace: ControlTrace) -> dict:
                 {"kind": "verdict", "device": event.device, "accepted": event.accepted}
             )
     return {
-        "input": format_word(trace.input),
+        "input": format_word(trace.input, alphabet),
         "overall": trace.overall,
         "devices": dict(sorted(trace.devices.items())),
         "events": events,
     }
 
 
-def _trace_lines(trace: ControlTrace) -> list[str]:
+def _trace_lines(trace: ControlTrace, alphabet: Iterable[Symbol]) -> list[str]:
     def label(path: str) -> str:
         return trace.devices.get(path, path or "root")
 
@@ -233,7 +233,7 @@ def _trace_lines(trace: ControlTrace) -> list[str]:
         return path or "root"
 
     lines = [
-        f"input: {format_word(trace.input)}",
+        f"input: {format_word(trace.input, alphabet)}",
         f"overall: {'accept' if trace.overall else 'reject'}",
     ]
     for event in trace.events:
@@ -259,9 +259,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     input_word = parse_input(args.input, composite.alphabet)
     trace = _trace_composite(expr, env, composite, input_word)
     if args.json:
-        print(json.dumps(_trace_payload(trace), indent=2))
+        print(json.dumps(_trace_payload(trace, composite.alphabet), indent=2))
     else:
-        for line in _trace_lines(trace):
+        for line in _trace_lines(trace, composite.alphabet):
             print(line)
     return 0 if trace.overall else 1
 
@@ -275,7 +275,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
         print("equivalent")
         return 0
     assert verdict.counterexample is not None
-    print(format_word(verdict.counterexample))
+    print(format_word(verdict.counterexample, first.alphabet | second.alphabet))
     return 1
 
 
@@ -309,7 +309,7 @@ def _cmd_props(args: argparse.Namespace) -> int:
         first = result.failures[0]
         print(
             f"first failure: case {first.case} law {first.law} "
-            f"word {format_word(first.word)} "
+            f"word {format_word(first.word, DEFAULT_LETTERS)} "
             f"composite={str(first.composite_verdict).lower()} "
             f"oracle={str(first.oracle_verdict).lower()}"
         )

@@ -5,7 +5,9 @@ Twister), drawn in a fixed order so a seed pins every generated value:
 state count first, then one final flag per state, then one flag per
 possible edge (source ascending, then letter a, b, empty-string, then
 target ascending).  Devices use the two-letter alphabet {a, b} and at most
-four states, which keeps exhaustive word checks cheap.
+four states, which keeps exhaustive word checks cheap.  The suite builds
+each composite with ``elaborate``, as the CLI does, so the laws are checked
+on the code that ``accept``, ``trace`` and ``compose`` run.
 """
 
 from __future__ import annotations
@@ -14,15 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import (
-    CompositionExpr,
-    Concat,
-    Device,
-    Parallel,
-    concat,
-    instantiate,
-    parallel,
-)
+from .algebra import CompositionExpr, Concat, Device, Parallel, elaborate
 from .analysis import enumerate_language
 from .automaton import EPSILON, Automaton, StateId, Symbol, Word, letter, symbol_key
 
@@ -41,6 +35,11 @@ DEFAULT_LETTERS = (letter("a"), letter("b"))
 
 # Longest words the suite checks: each case enumerates 2^(max_len + 1) words.
 MAX_LEN = 10
+
+# The two composites of each case, over the operands bound as "left" and
+# "right".
+_SEQUENTIAL = Concat(Device("left"), Device("right"))
+_BRANCHING = Parallel(Device("left"), Device("right"))
 
 
 def random_automaton(
@@ -141,11 +140,12 @@ def run_closure_suite(seed: int, cases: int, max_len: int = 6) -> SuiteResult:
     * the branching composite accepts w iff the left or the right operand
       accepts w.
 
-    Both oracles consult only the operands' enumerated languages; each
-    composite is judged by enumerating its own language.  Enumeration runs
-    on each automaton's integer kernel, and the tests check it against a
-    set-based brute force.  Cases are run in index order, so output is
-    reproducible for a fixed seed.
+    Each composite is built by ``elaborate`` from the expressions
+    ``left ; right`` and ``left | right``.  Both oracles consult only the
+    operands' enumerated languages; each composite is judged by enumerating
+    its own language.  Enumeration runs on each automaton's integer kernel,
+    and the tests check it against a set-based brute force.  Cases are run
+    in index order, so output is reproducible for a fixed seed.
     """
     if cases < 0:
         raise ValueError(f"cases must be >= 0, got {cases}")
@@ -157,8 +157,9 @@ def run_closure_suite(seed: int, cases: int, max_len: int = 6) -> SuiteResult:
     for case in range(cases):
         left = random_automaton(rng)
         right = random_automaton(rng)
-        sequential = concat(instantiate(left, "L"), instantiate(right, "R"))
-        branching = parallel(instantiate(left, "L"), instantiate(right, "R"))
+        env = {"left": left, "right": right}
+        sequential = elaborate(_SEQUENTIAL, env)
+        branching = elaborate(_BRANCHING, env)
         left_language = set(enumerate_language(left, max_len, MAX_LEN))
         right_language = set(enumerate_language(right, max_len, MAX_LEN))
         sequential_language = set(enumerate_language(sequential, max_len, MAX_LEN))

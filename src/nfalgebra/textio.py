@@ -35,7 +35,8 @@ Input words on the wire: when every alphabet letter is one character, a
 word is a bare string like ``aabaaaab``; otherwise letters are separated
 by commas.  Text holding a comma is read as comma-separated whatever the
 alphabet, so the word e·p·s is spelled ``e,p,s``: the lone token ``eps``
-(or an empty string) is the empty word.
+(or an empty string) is the empty word.  ``format_word`` spells a word by
+the same rule, given the alphabet it will be read against.
 """
 
 from __future__ import annotations
@@ -462,6 +463,12 @@ def render_dot(automaton: Automaton, group_by_namespace: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _spelled_bare(tokens: Iterable[str]) -> bool:
+    """Whether words over these letters are written bare; ``parse_input``
+    and ``format_word`` share this rule, so one reads what the other wrote."""
+    return all(len(token) == 1 for token in tokens)
+
+
 def parse_input(text: str, alphabet: Iterable[Symbol]) -> Word:
     """Decode the wire spelling of an input word against an alphabet."""
     by_token = {str(s): s for s in frozenset(alphabet)}
@@ -469,7 +476,7 @@ def parse_input(text: str, alphabet: Iterable[Symbol]) -> Word:
         return ()
     diagnostics: list[ParseDiagnostic] = []
     out: list[Symbol] = []
-    if "," not in text and all(len(token) == 1 for token in by_token):
+    if "," not in text and _spelled_bare(by_token):
         for index, ch in enumerate(text):
             found = by_token.get(ch)
             if found is None:
@@ -505,12 +512,17 @@ def parse_input(text: str, alphabet: Iterable[Symbol]) -> Word:
     return tuple(out)
 
 
-def format_word(input_word: Word) -> str:
-    """Inverse of ``parse_input``: the display spelling of a word."""
+def format_word(input_word: Word, alphabet: Iterable[Symbol] = ()) -> str:
+    """Inverse of ``parse_input``: the display spelling of a word.
+
+    The word is written bare only when its letters and those of
+    ``alphabet`` are all one character long, so passing the alphabet the
+    word will be read against makes ``parse_input`` read it back.
+    """
     if not input_word:
         return EPSILON_TOKEN
     tokens = [str(s) for s in input_word]
     bare = "".join(tokens)
-    if all(len(t) == 1 for t in tokens) and bare != EPSILON_TOKEN:
+    if _spelled_bare([*tokens, *map(str, alphabet)]) and bare != EPSILON_TOKEN:
         return bare
     return ",".join(tokens)

@@ -2,14 +2,16 @@
 
 ``oracle_accepts`` decides acceptance by a top-down search over individual
 runs, which shares no code with the frontier simulation in the package.
+``epsilon_closure`` and ``step`` are the set-based simulation the package's
+integer kernel replaced, with their own alphabet and state checks, and
+``dfa_accepts`` walks a ``Dfa`` table letter by letter.
 ``reference_witness``, ``reference_determinize``, ``reference_equivalent``
 and ``reference_enumerate_language`` are the set-based search, subset
 construction, product equivalence and brute-force enumeration that the
-package's integer kernel replaced; they run on the public set-based
-``step`` and ``epsilon_closure`` and on ``product`` and ``is_empty``
-below, so the kernel is judged by code that never touches it.
-``product`` and ``is_empty`` are the synchronous product of two ``Dfa``
-tables and its least-word search that the package itself no longer needs.
+kernel replaced; they run on ``step`` and ``epsilon_closure`` and on
+``product`` and ``is_empty`` below, so the kernel is judged by code that
+never touches it.  ``product`` and ``is_empty`` are the synchronous
+product of two ``Dfa`` tables and its least-word search.
 ``reference_elaborate`` is the recursive fold of ``instantiate``,
 ``concat`` and ``parallel`` that the one-pass ``elaborate`` replaced.
 The string predicates describe the bundled devices' languages directly.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from typing import Callable
+from typing import Callable, Iterable
 
 from nfalgebra import (
     EPSILON,
@@ -40,14 +42,70 @@ from nfalgebra import (
     UnknownSymbolError,
     Word,
     concat,
-    epsilon_closure,
     instantiate,
     pad_alphabet,
     parallel,
-    step,
     symbol_key,
     validate,
 )
+
+
+class UnknownStateError(ValueError):
+    """A referenced state is not part of the automaton."""
+
+
+def epsilon_closure(
+    automaton: Automaton, sources: Iterable[StateId]
+) -> frozenset[StateId]:
+    """Smallest superset of ``sources`` closed under empty-string moves."""
+    pending = list(sources)
+    unknown = sorted(s for s in pending if s not in automaton.states)
+    if unknown:
+        listed = ", ".join(str(s) for s in unknown)
+        raise UnknownStateError(f"unknown states: {listed}")
+    closed: set[StateId] = set()
+    while pending:
+        current = pending.pop()
+        if current in closed:
+            continue
+        closed.add(current)
+        pending.extend(automaton.targets(current, EPSILON))
+    return frozenset(closed)
+
+
+def step(
+    automaton: Automaton, current: Iterable[StateId], symbol: Symbol
+) -> frozenset[StateId]:
+    """One letter of simulation.
+
+    Moves every state of ``current`` (assumed already closed) on ``symbol``,
+    then closes the result under empty-string moves.  A state of
+    ``current`` that is not declared raises ``UnknownStateError`` naming
+    the least such state.
+    """
+    if symbol.is_epsilon or symbol not in automaton.alphabet:
+        raise UnknownSymbolError(f"symbol {symbol} is not a letter of the alphabet")
+    sources = list(current)
+    unknown = [s for s in sources if s not in automaton.states]
+    if unknown:
+        raise UnknownStateError(f"unknown state: {min(unknown)}")
+    moved: set[StateId] = set()
+    for source in sources:
+        moved.update(automaton.targets(source, symbol))
+    return epsilon_closure(automaton, moved)
+
+
+def dfa_accepts(dfa: Dfa, input_word: Iterable[Symbol]) -> bool:
+    """Walk the total transition table; no search involved."""
+    current = dfa.initial
+    for symbol in input_word:
+        key = (current, symbol)
+        if key not in dfa.transition:
+            raise UnknownSymbolError(
+                f"symbol {symbol} is not a letter of the alphabet"
+            )
+        current = dfa.transition[key]
+    return current in dfa.finals
 
 
 def oracle_accepts(automaton: Automaton, input_word: Word) -> bool:

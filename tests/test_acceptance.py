@@ -15,7 +15,6 @@ from nfalgebra import (
     accepts,
     control_trace,
     determinize,
-    dfa_accepts,
     elaborate,
     enumerate_language,
     equivalent,
@@ -36,7 +35,7 @@ from nfalgebra.properties import (
     run_closure_suite,
 )
 
-from .oracles import as_text, in_l1, in_l2
+from .oracles import as_text, dfa_accepts, in_l1, in_l2
 
 N1_PATH = str(fixtures.builtin_path("N1"))
 N2_PATH = str(fixtures.builtin_path("N2"))

@@ -12,7 +12,6 @@ from nfalgebra import (
     accepts,
     concat,
     determinize,
-    dfa_accepts,
     dfa_to_automaton,
     enumerate_language,
     equivalent,
@@ -26,7 +25,15 @@ from nfalgebra import (
 )
 from nfalgebra.properties import all_words, random_automaton
 
-from .oracles import AlphabetMismatchError, as_text, in_l1, in_l2, is_empty, product
+from .oracles import (
+    AlphabetMismatchError,
+    as_text,
+    dfa_accepts,
+    in_l1,
+    in_l2,
+    is_empty,
+    product,
+)
 from .strategies import automata
 
 A = letter("a")

@@ -16,24 +16,29 @@ from nfalgebra import (
     Automaton,
     StateId,
     Symbol,
-    UnknownStateError,
     UnknownSymbolError,
     accepts,
     check_witness,
     concat,
-    epsilon_closure,
     letter,
     pad_alphabet,
     parallel,
     state,
-    step,
     validate,
     witness,
     word,
 )
 from nfalgebra.properties import all_words, random_automaton
 
-from .oracles import as_text, in_l1, in_l2, oracle_accepts
+from .oracles import (
+    UnknownStateError,
+    as_text,
+    epsilon_closure,
+    in_l1,
+    in_l2,
+    oracle_accepts,
+    step,
+)
 from .strategies import automata, words
 
 A, B = letter("a"), letter("b")

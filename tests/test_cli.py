@@ -173,6 +173,29 @@ class TestEquiv:
         code, out, _ = run(capsys, "equiv", "-d", N1, N2, "-e", "N1 ; N2", "-e2", "N2 ; N1")
         assert (code, out.strip()) == (1, "abaa")
 
+    def test_counterexample_reads_back_over_mixed_length_letters(
+        self, capsys, tmp_path
+    ):
+        # X accepts a·b over {a, b}; Y accepts nothing over {a, b, cd}.
+        x = tmp_path / "x.nfa"
+        x.write_text(
+            "name X\nalphabet a b\nstates x0 x1 x2\ninitial x0\nfinal x2\n"
+            "trans x0 a x1\ntrans x1 b x2\n"
+        )
+        y = tmp_path / "y.nfa"
+        y.write_text("name Y\nalphabet a b cd\nstates y0\ninitial y0\n")
+        devices = ["-d", str(x), str(y)]
+        code, out, _ = run(capsys, "equiv", *devices, "-e", "X", "-e2", "Y")
+        assert (code, out.strip()) == (1, "a,b")
+        code, out, _ = run(
+            capsys, "accept", *devices, "-e", "X | Y", "-i", out.strip()
+        )
+        assert (code, out.strip()) == (0, "accept")
+        code, out, _ = run(
+            capsys, "trace", *devices, "-e", "X | Y", "-i", "a,b", "--json"
+        )
+        assert (code, json.loads(out)["input"]) == (0, "a,b")
+
 
 class TestComposeAndDfa:
     def test_compose_reload_round_trip(self, capsys, tmp_path):

@@ -4,7 +4,7 @@
 ``enumerate_language`` run on a dense
 bitmask form compiled once per automaton.  Each is compared for exact
 equality with the set-based reference in ``tests/oracles.py``, which runs
-on the public ``step`` and ``epsilon_closure`` and never touches the
+on the ``step`` and ``epsilon_closure`` kept there and never touches the
 kernel.  Compiling is the one validity gate: every operation that
 simulates rejects an automaton ``validate`` rejects.
 """

@@ -1,8 +1,10 @@
 """The seeded generator and the composition-law suite."""
 
+import dataclasses
 import random
 
-from nfalgebra import parse_expression, render_expression, validate
+from nfalgebra import Concat, elaborate, parse_expression, render_expression, validate
+from nfalgebra import properties
 from nfalgebra.properties import (
     all_words,
     random_automaton,
@@ -58,3 +60,23 @@ class TestClosureSuite:
 
     def test_reproducible(self):
         assert run_closure_suite(3, 10, 4) == run_closure_suite(3, 10, 4)
+
+    def test_composites_come_from_elaborate(self, monkeypatch):
+        # An elaborate that drops the ';' bridges: the sequential composite
+        # then accepts nothing, which the concat law must catch.
+        def without_bridges(expr, env):
+            composite = elaborate(expr, env)
+            if not isinstance(expr, Concat):
+                return composite
+            transitions = {
+                key: frozenset(
+                    t for t in targets if t.namespace[:1] == key[0].namespace[:1]
+                )
+                for key, targets in composite.transitions.items()
+            }
+            return dataclasses.replace(composite, transitions=transitions)
+
+        monkeypatch.setattr(properties, "elaborate", without_bridges)
+        result = run_closure_suite(42, 50)
+        assert not result.ok
+        assert {failure.law for failure in result.failures} == {"concat"}

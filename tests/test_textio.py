@@ -27,6 +27,15 @@ from nfalgebra import (
 )
 from nfalgebra.properties import random_automaton, random_expression
 
+# Letter spellings for the input-word round trip: one-character letters
+# only (which spell e·p·s), then mixes of one-character and longer letters.
+ALPHABETS = [
+    ("e", "p", "s", "a", "b"),
+    ("a", "b", "cd"),
+    ("a", "bc", "de"),
+    ("e", "p", "s", "ps"),
+]
+
 
 def codes(err: ParseError) -> list[str]:
     return [d.code for d in err.diagnostics]
@@ -315,13 +324,25 @@ class TestInputWords:
             assert format_word(parse_input(text, n1.alphabet)) == text
         wide = frozenset({letter("ab"), letter("cd")})
         assert format_word(parse_input("ab,cd", wide)) == "ab,cd"
+        mixed = frozenset({*word("ab"), letter("cd")})
+        assert format_word(word("ab")) == "ab"
+        assert format_word(word("ab"), mixed) == "a,b"
 
-    @given(st.lists(st.sampled_from("epsab"), max_size=6).map("".join))
-    @example("eps")
-    @example("")
-    def test_round_trip_over_single_character_letters(self, text):
-        alphabet = frozenset(word("epsab"))
-        assert parse_input(format_word(word(text)), alphabet) == word(text)
+    @given(
+        st.sampled_from(ALPHABETS).flatmap(
+            lambda tokens: st.tuples(
+                st.just(tokens), st.lists(st.sampled_from(tokens), max_size=6)
+            )
+        )
+    )
+    @example((ALPHABETS[0], list("eps")))
+    @example((ALPHABETS[0], []))
+    @example((ALPHABETS[1], list("ab")))
+    def test_round_trip_over_any_alphabet(self, case):
+        tokens, spelled = case
+        alphabet = frozenset(map(letter, tokens))
+        input_word = tuple(map(letter, spelled))
+        assert parse_input(format_word(input_word, alphabet), alphabet) == input_word
 
     def test_the_word_eps_is_spelled_with_commas(self):
         alphabet = frozenset(word("eps"))
