@@ -26,8 +26,10 @@ from typing import Mapping, Union
 from .automaton import (
     EPSILON,
     Automaton,
+    InvalidAutomatonError,
     StateId,
     Symbol,
+    _kernel,
     check_segment,
     validate,
 )
@@ -184,8 +186,9 @@ def elaborate(expr: CompositionExpr, env: DeviceEnvironment) -> Automaton:
     Each operand is renamed under its position in the tree (left child
     "L", right child "R", nested positions nest), so the same device name
     may appear at any number of leaves without state clashes.  Every leaf
-    is validated before use; the leftmost unbound or invalid leaf is the
-    one reported.
+    is checked before use by compiling its kernel, which is cached on the
+    value, so a device is checked once however often it is composed; the
+    leftmost unbound or invalid leaf is the one reported.
 
     The result is what folding the tree with ``instantiate``, ``concat``
     and ``parallel`` would give, built in one pass: every leaf state is
@@ -203,10 +206,13 @@ def elaborate(expr: CompositionExpr, env: DeviceEnvironment) -> Automaton:
             automaton = env.get(name)
             if automaton is None:
                 raise UnboundDeviceError(f"no device named {name!r} is bound")
-            problems = validate(automaton)
-            if problems:
-                detail = "; ".join(v.code for v in problems)
-                raise InvalidDeviceError(f"device {name!r} is invalid: {detail}")
+            try:
+                _kernel(automaton)
+            except InvalidAutomatonError:
+                detail = "; ".join(v.code for v in validate(automaton))
+                raise InvalidDeviceError(
+                    f"device {name!r} is invalid: {detail}"
+                ) from None
             checked[name] = automaton
         return automaton
 

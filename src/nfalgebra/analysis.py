@@ -186,7 +186,7 @@ def enumerate_language(
     return accepted
 
 
-def dfa_to_automaton(dfa: Dfa, prefix: str = "d") -> Automaton:
+def dfa_to_automaton(dfa: Dfa) -> Automaton:
     """Repackage a Dfa as an ordinary automaton with compact state names.
 
     Subset states are renamed ``d0, d1, ...`` in breadth-first order from
@@ -194,17 +194,17 @@ def dfa_to_automaton(dfa: Dfa, prefix: str = "d") -> Automaton:
     and parses back from its canonical rendering.
     """
     letters = sorted(dfa.alphabet, key=symbol_key)
-    names: dict[SubsetState, StateId] = {dfa.initial: StateId((), f"{prefix}0")}
+    names: dict[SubsetState, StateId] = {dfa.initial: StateId((), "d0")}
     order: deque[SubsetState] = deque([dfa.initial])
     while order:
         current = order.popleft()
         for sym in letters:
             successor = dfa.transition[(current, sym)]
             if successor not in names:
-                names[successor] = StateId((), f"{prefix}{len(names)}")
+                names[successor] = StateId((), f"d{len(names)}")
                 order.append(successor)
     for leftover in sorted(dfa.states - names.keys()):
-        names[leftover] = StateId((), f"{prefix}{len(names)}")
+        names[leftover] = StateId((), f"d{len(names)}")
     transitions = {
         (names[source], sym): frozenset({names[target]})
         for (source, sym), target in dfa.transition.items()

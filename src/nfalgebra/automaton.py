@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -170,10 +171,12 @@ class StateId(_Interned):
 
     Composition renames operands apart by prepending namespace segments, so
     distinct device instances can never share a state.  States order by
-    ``(namespace, local)``.
+    ``(namespace, local)``, which each state stores as ``_key``; sorting
+    with ``key=_state_order`` compares those tuples in C.  The dotted
+    spelling is built once, when the state is first interned.
     """
 
-    __slots__ = ("namespace", "local", "_key")
+    __slots__ = ("namespace", "local", "_key", "_text")
     __match_args__ = ("namespace", "local")
     _interned: dict[tuple[tuple[str, ...], str], StateId] = {}
     # Segments that passed ``check_segment``, so a new deep name made of
@@ -199,6 +202,7 @@ class StateId(_Interned):
         object.__setattr__(made, "namespace", key[0])
         object.__setattr__(made, "local", local)
         object.__setattr__(made, "_key", key)
+        object.__setattr__(made, "_text", ".".join((*key[0], local)))
         # setdefault is atomic: threads racing on one name keep one object.
         return cls._interned.setdefault(key, made)
 
@@ -222,11 +226,12 @@ class StateId(_Interned):
             return NotImplemented
         return self._key >= other._key
 
-    def qualified(self) -> str:
-        return ".".join((*self.namespace, self.local))
-
     def __str__(self) -> str:
-        return self.qualified()
+        return self._text
+
+
+# Sort key giving the order of ``StateId.__lt__`` without calling it.
+_state_order = attrgetter("_key")
 
 
 def state(text: str) -> StateId:
@@ -282,7 +287,7 @@ class Automaton:
             for (source, symbol), targets in self.transitions.items()
             for target in targets
         ]
-        triples.sort(key=lambda t: (t[0], symbol_key(t[1]), t[2]))
+        triples.sort(key=lambda t: (t[0]._key, symbol_key(t[1]), t[2]._key))
         return triples
 
 
@@ -316,7 +321,7 @@ def validate(automaton: Automaton) -> list[Violation]:
                 f"initial state {automaton.initial} is not a declared state",
             )
         )
-    for final in sorted(automaton.finals):
+    for final in sorted(automaton.finals, key=_state_order):
         if final not in automaton.states:
             report.append(
                 Violation(
@@ -406,7 +411,9 @@ class _Kernel:
     def __init__(self, automaton: Automaton) -> None:
         if EPSILON in automaton.alphabet:
             raise _invalid(automaton)
-        self.states: tuple[StateId, ...] = tuple(sorted(automaton.states))
+        self.states: tuple[StateId, ...] = tuple(
+            sorted(automaton.states, key=_state_order)
+        )
         index = {s: i for i, s in enumerate(self.states)}
         self.letters: tuple[Symbol, ...] = tuple(automaton.letters())
         # Keyed by token: this lookup is the whole alphabet check, and the

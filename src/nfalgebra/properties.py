@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .algebra import CompositionExpr, Concat, Device, Parallel, elaborate
 from .analysis import enumerate_language
-from .automaton import EPSILON, Automaton, StateId, Symbol, Word, letter, symbol_key
+from .automaton import EPSILON, Automaton, StateId, Symbol, Word, letter
 
 __all__ = [
     "DEFAULT_LETTERS",
@@ -42,36 +42,28 @@ _SEQUENTIAL = Concat(Device("left"), Device("right"))
 _BRANCHING = Parallel(Device("left"), Device("right"))
 
 
-def random_automaton(
-    rng: random.Random,
-    max_states: int = 4,
-    letters: Sequence[Symbol] = DEFAULT_LETTERS,
-    edge_probability: float = 0.3,
-    final_probability: float = 0.3,
-    include_epsilon: bool = True,
-) -> Automaton:
-    """One random device.
+def random_automaton(rng: random.Random, max_states: int = 4) -> Automaton:
+    """One random device over {a, b}.
 
     State count is uniform on 1..max_states; each state is final with
-    ``final_probability``; each possible edge (including empty-string edges
-    unless disabled) is present independently with ``edge_probability``.
-    The first state is initial.
+    probability 0.3; each possible edge, empty-string edges included, is
+    present independently with probability 0.3.  The first state is
+    initial.
     """
     count = rng.randint(1, max_states)
     states = [StateId((), f"s{i}") for i in range(count)]
-    finals = frozenset(s for s in states if rng.random() < final_probability)
-    symbols = list(letters) + ([EPSILON] if include_epsilon else [])
+    finals = frozenset(s for s in states if rng.random() < 0.3)
     transitions: dict[tuple[StateId, Symbol], set[StateId]] = {}
     for source in states:
-        for symbol in symbols:
+        for symbol in (*DEFAULT_LETTERS, EPSILON):
             for target in states:
-                if rng.random() < edge_probability:
+                if rng.random() < 0.3:
                     transitions.setdefault((source, symbol), set()).add(target)
     return Automaton(
-        alphabet=frozenset(letters),
+        alphabet=frozenset(DEFAULT_LETTERS),
         states=frozenset(states),
         initial=states[0],
-        transitions={k: frozenset(v) for k, v in transitions.items()},
+        transitions=transitions,
         finals=finals,
     )
 
@@ -92,15 +84,13 @@ def random_expression(
     return build(leaves)
 
 
-def all_words(
-    letters: Sequence[Symbol] = DEFAULT_LETTERS, max_len: int = 6
-) -> list[Word]:
-    """Every word of length <= max_len, shortest first then lexicographic."""
-    ordered = sorted(letters, key=symbol_key)
+def all_words(max_len: int = 6) -> list[Word]:
+    """Every word over {a, b} of length <= max_len, shortest first then
+    lexicographic."""
     out: list[Word] = [()]
     level: list[Word] = [()]
     for _ in range(max_len):
-        level = [w + (s,) for w in level for s in ordered]
+        level = [w + (s,) for w in level for s in DEFAULT_LETTERS]
         out.extend(level)
     return out
 
@@ -152,7 +142,7 @@ def run_closure_suite(seed: int, cases: int, max_len: int = 6) -> SuiteResult:
     if not 0 <= max_len <= MAX_LEN:
         raise ValueError(f"max_len must be in 0..{MAX_LEN}, got {max_len}")
     rng = random.Random(seed)
-    words = all_words(DEFAULT_LETTERS, max_len)
+    words = all_words(max_len)
     failures: list[LawFailure] = []
     for case in range(cases):
         left = random_automaton(rng)

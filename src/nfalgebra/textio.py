@@ -19,6 +19,11 @@ their path with dots (``L.p0``).  Letters may not contain ``#`` or ``,``,
 state names may not contain ``#``, and the name may not contain any of
 ``;|()``, which expressions could not refer to.
 
+Parsing splits each line on whitespace and reports every problem it finds,
+each at its line and column.  A line's token columns are worked out only
+when a diagnostic names that line, once per line, so a valid file costs no
+column bookkeeping and a line with many bad tokens costs linear time.
+
 Rendering is canonical: fixed section order and sorted tokens, so equal
 automata render byte-identically and every render parses back to a
 structurally equal value.
@@ -53,6 +58,7 @@ from .automaton import (
     StateId,
     Symbol,
     Word,
+    _state_order,
     state,
 )
 
@@ -90,7 +96,12 @@ class ParseError(ValueError):
         super().__init__("; ".join(d.render() for d in self.diagnostics))
 
 
-_TOKEN = re.compile(r"\S+")
+# One content line of an automaton file: (line number, text before any
+# comment, its whitespace-separated tokens).
+_Line = tuple[int, str, list[str]]
+
+# Stands in for an absent section: a directive with nothing after it.
+_NO_LINE: _Line = (0, "", [""])
 
 _SECTION_DIRECTIVES = ("alphabet", "states", "initial", "final")
 
@@ -108,12 +119,32 @@ def parse_automaton(text: str) -> tuple[str, Automaton]:
     sections.
     """
     diagnostics: list[ParseDiagnostic] = []
-    content: list[tuple[int, list[tuple[str, int]]]] = []
+    columns: dict[int, list[int]] = {}
+
+    def report(line: _Line, index: int, code: str, message: str) -> None:
+        """Record a diagnostic at token ``index`` of ``line``.
+
+        A line's columns are found once, however many diagnostics name it.
+        Only whitespace lies between one token and the next, so searching
+        from the end of the previous token finds the next one's start.
+        """
+        lineno, body, tokens = line
+        found = columns.get(lineno)
+        if found is None:
+            found = columns[lineno] = []
+            end = 0
+            for token in tokens:
+                start = body.find(token, end)
+                found.append(start + 1)
+                end = start + len(token)
+        diagnostics.append(ParseDiagnostic(lineno, found[index], code, message))
+
+    content: list[_Line] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
-        tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(body)]
+        tokens = body.split()
         if tokens:
-            content.append((lineno, tokens))
+            content.append((lineno, body, tokens))
 
     if not content:
         raise ParseError(
@@ -122,167 +153,108 @@ def parse_automaton(text: str) -> tuple[str, Automaton]:
 
     name = None
     body_lines = content
-    first_line, first_tokens = content[0]
-    if first_tokens[0][0] == "name":
+    first = content[0]
+    if first[2][0] == "name":
         body_lines = content[1:]
-        if len(first_tokens) != 2:
-            diagnostics.append(
-                ParseDiagnostic(
-                    first_line,
-                    first_tokens[0][1],
-                    "malformed-line",
-                    "name takes exactly one identifier",
-                )
-            )
-        elif any(ch in _EXPRESSION_MARKS for ch in first_tokens[1][0]):
-            diagnostics.append(
-                ParseDiagnostic(
-                    first_line,
-                    first_tokens[1][1],
-                    "bad-name",
-                    f"device name {first_tokens[1][0]!r} contains one of "
-                    f"{_EXPRESSION_MARKS!r}, which expressions cannot refer to",
-                )
+        if len(first[2]) != 2:
+            report(first, 0, "malformed-line", "name takes exactly one identifier")
+        elif any(ch in _EXPRESSION_MARKS for ch in first[2][1]):
+            report(
+                first,
+                1,
+                "bad-name",
+                f"device name {first[2][1]!r} contains one of "
+                f"{_EXPRESSION_MARKS!r}, which expressions cannot refer to",
             )
         else:
-            name = first_tokens[1][0]
+            name = first[2][1]
     else:
-        diagnostics.append(
-            ParseDiagnostic(
-                first_line,
-                first_tokens[0][1],
-                "missing-name",
-                "first content line must be 'name <ident>'",
-            )
-        )
+        report(first, 0, "missing-name", "first content line must be 'name <ident>'")
 
-    sections: dict[str, list[tuple[str, int]]] = {}
-    section_lines: dict[str, int] = {}
-    edges: list[tuple[int, list[tuple[str, int]]]] = []
-    for lineno, tokens in body_lines:
-        directive, column = tokens[0]
-        rest = tokens[1:]
+    # Each section's whole line, its directive at token 0.
+    sections: dict[str, _Line] = {}
+    edges: list[_Line] = []
+    for line in body_lines:
+        directive = line[2][0]
         if directive == "name":
-            diagnostics.append(
-                ParseDiagnostic(
-                    lineno, column, "duplicate-section", "name already declared"
-                )
-            )
+            report(line, 0, "duplicate-section", "name already declared")
         elif directive in _SECTION_DIRECTIVES:
             if directive in sections:
-                diagnostics.append(
-                    ParseDiagnostic(
-                        lineno,
-                        column,
-                        "duplicate-section",
-                        f"{directive} already declared on line {section_lines[directive]}",
-                    )
+                report(
+                    line,
+                    0,
+                    "duplicate-section",
+                    f"{directive} already declared on line {sections[directive][0]}",
                 )
-                continue
-            if directive == "initial" and len(rest) != 1:
-                diagnostics.append(
-                    ParseDiagnostic(
-                        lineno,
-                        column,
-                        "malformed-line",
-                        "initial takes exactly one state",
-                    )
-                )
-                continue
-            sections[directive] = rest
-            section_lines[directive] = lineno
+            elif directive == "initial" and len(line[2]) != 2:
+                report(line, 0, "malformed-line", "initial takes exactly one state")
+            else:
+                sections[directive] = line
         elif directive == "trans":
-            if len(rest) != 3:
-                diagnostics.append(
-                    ParseDiagnostic(
-                        lineno,
-                        column,
-                        "malformed-line",
-                        "trans takes exactly: <from> <letter|eps> <to>",
-                    )
+            if len(line[2]) != 4:
+                report(
+                    line,
+                    0,
+                    "malformed-line",
+                    "trans takes exactly: <from> <letter|eps> <to>",
                 )
             else:
-                edges.append((lineno, rest))
+                edges.append(line)
         else:
-            diagnostics.append(
-                ParseDiagnostic(
-                    lineno, column, "unknown-directive", f"unknown directive {directive!r}"
-                )
-            )
+            report(line, 0, "unknown-directive", f"unknown directive {directive!r}")
 
     states_by_token: dict[str, StateId] = {}
-    states_line = section_lines.get("states", 1)
-    for token, column in sections.get("states", []):
+    line = sections.get("states", _NO_LINE)
+    for index, token in enumerate(line[2][1:], start=1):
         try:
             states_by_token[token] = state(token)
         except ValueError as err:
-            diagnostics.append(
-                ParseDiagnostic(states_line, column, "bad-state-name", str(err))
-            )
+            report(line, index, "bad-state-name", str(err))
 
     alphabet: dict[str, Symbol] = {}
-    alphabet_line = section_lines.get("alphabet", 1)
-    for token, column in sections.get("alphabet", []):
+    line = sections.get("alphabet", _NO_LINE)
+    for index, token in enumerate(line[2][1:], start=1):
         if token == EPSILON_TOKEN:
-            diagnostics.append(
-                ParseDiagnostic(
-                    alphabet_line,
-                    column,
-                    "reserved-token",
-                    f"{EPSILON_TOKEN!r} is implicit in every alphabet",
-                )
+            report(
+                line,
+                index,
+                "reserved-token",
+                f"{EPSILON_TOKEN!r} is implicit in every alphabet",
             )
         else:
             try:
                 alphabet[token] = Symbol(token)
             except ValueError as err:
-                diagnostics.append(
-                    ParseDiagnostic(alphabet_line, column, "bad-letter", str(err))
-                )
+                report(line, index, "bad-letter", str(err))
 
-    def resolve_state(token: str, lineno: int, column: int) -> StateId | None:
+    def resolve_state(line: _Line, index: int) -> StateId | None:
+        token = line[2][index]
         found = states_by_token.get(token)
         if found is None:
-            diagnostics.append(
-                ParseDiagnostic(
-                    lineno, column, "unknown-state", f"state {token!r} is not declared"
-                )
-            )
+            report(line, index, "unknown-state", f"state {token!r} is not declared")
         return found
 
     initial = None
     if "initial" in sections:
-        token, column = sections["initial"][0]
-        initial = resolve_state(token, section_lines["initial"], column)
+        initial = resolve_state(sections["initial"], 1)
     else:
         diagnostics.append(
             ParseDiagnostic(1, 1, "missing-initial", "no initial line declared")
         )
 
-    finals: set[StateId] = set()
-    finals_line = section_lines.get("final", 1)
-    for token, column in sections.get("final", []):
-        resolved = resolve_state(token, finals_line, column)
-        if resolved is not None:
-            finals.add(resolved)
+    line = sections.get("final", _NO_LINE)
+    finals = {resolve_state(line, index) for index in range(1, len(line[2]))}
+    finals.discard(None)
 
+    symbols = {**alphabet, EPSILON_TOKEN: EPSILON}
     transitions: dict[tuple[StateId, Symbol], set[StateId]] = {}
-    for lineno, ((from_tok, from_col), (sym_tok, sym_col), (to_tok, to_col)) in edges:
-        source = resolve_state(from_tok, lineno, from_col)
-        target = resolve_state(to_tok, lineno, to_col)
-        if sym_tok == EPSILON_TOKEN:
-            symbol = EPSILON
-        else:
-            symbol = alphabet.get(sym_tok)
-            if symbol is None:
-                diagnostics.append(
-                    ParseDiagnostic(
-                        lineno,
-                        sym_col,
-                        "unknown-symbol",
-                        f"letter {sym_tok!r} is not in the alphabet",
-                    )
-                )
+    for line in edges:
+        source = resolve_state(line, 1)
+        target = resolve_state(line, 3)
+        symbol = symbols.get(line[2][2])
+        if symbol is None:
+            message = f"letter {line[2][2]!r} is not in the alphabet"
+            report(line, 2, "unknown-symbol", message)
         if source is not None and target is not None and symbol is not None:
             transitions.setdefault((source, symbol), set()).add(target)
 
@@ -295,8 +267,8 @@ def parse_automaton(text: str) -> tuple[str, Automaton]:
         alphabet=frozenset(alphabet.values()),
         states=frozenset(states_by_token.values()),
         initial=initial,
-        transitions={k: frozenset(v) for k, v in transitions.items()},
-        finals=frozenset(finals),
+        transitions=transitions,
+        finals=finals,
     )
     return name, automaton
 
@@ -308,17 +280,14 @@ def render_automaton(automaton: Automaton, name: str = "A") -> str:
             f"automaton names must be nonempty and free of whitespace, '#' and "
             f"{_EXPRESSION_MARKS!r}, or they would not parse back"
         )
-    lines = [f"name {name}"]
-    lines.append(" ".join(["alphabet", *[str(s) for s in automaton.letters()]]).rstrip())
-    lines.append(
-        " ".join(["states", *[str(s) for s in sorted(automaton.states)]]).rstrip()
-    )
-    lines.append(f"initial {automaton.initial}")
-    lines.append(
-        " ".join(["final", *[str(s) for s in sorted(automaton.finals)]]).rstrip()
-    )
-    for source, symbol, target in automaton.edges():
-        lines.append(f"trans {source} {symbol} {target}")
+    lines = [
+        f"name {name}",
+        " ".join(["alphabet", *map(str, automaton.letters())]),
+        " ".join(["states", *map(str, sorted(automaton.states, key=_state_order))]),
+        f"initial {automaton.initial}",
+        " ".join(["final", *map(str, sorted(automaton.finals, key=_state_order))]),
+    ]
+    lines.extend(f"trans {s} {symbol} {t}" for s, symbol, t in automaton.edges())
     return "\n".join(lines) + "\n"
 
 
@@ -443,7 +412,7 @@ def render_dot(automaton: Automaton, group_by_namespace: bool = False) -> str:
         '  "entry point" [shape=point, label=""];',
     ]
     grouped: dict[str | None, list[str]] = {}
-    for s in sorted(automaton.states):
+    for s in sorted(automaton.states, key=_state_order):
         shape = " [shape=doublecircle]" if s in automaton.finals else ""
         cluster = s.namespace[0] if group_by_namespace and s.namespace else None
         grouped.setdefault(cluster, []).append(f"{_quote(str(s))}{shape};")

@@ -14,6 +14,9 @@ never touches it.  ``product`` and ``is_empty`` are the synchronous
 product of two ``Dfa`` tables and its least-word search.
 ``reference_elaborate`` is the recursive fold of ``instantiate``,
 ``concat`` and ``parallel`` that the one-pass ``elaborate`` replaced.
+``reference_parse_automaton`` is the automaton-file parser that tracked a
+column for every token as it read it, where ``parse_automaton`` finds
+columns only for the lines its diagnostics name.
 The string predicates describe the bundled devices' languages directly.
 """
 
@@ -25,6 +28,7 @@ from typing import Callable, Iterable
 
 from nfalgebra import (
     EPSILON,
+    EPSILON_TOKEN,
     Automaton,
     CompositionExpr,
     Concat,
@@ -34,6 +38,8 @@ from nfalgebra import (
     EnumerationBoundError,
     EquivalenceVerdict,
     InvalidDeviceError,
+    ParseDiagnostic,
+    ParseError,
     RunWitness,
     StateId,
     SubsetState,
@@ -45,6 +51,7 @@ from nfalgebra import (
     instantiate,
     pad_alphabet,
     parallel,
+    state,
     symbol_key,
     validate,
 )
@@ -328,6 +335,215 @@ def reference_elaborate(expr: CompositionExpr, env: DeviceEnvironment) -> Automa
     right = instantiate(reference_elaborate(expr.right, env), "R")
     combine = concat if isinstance(expr, Concat) else parallel
     return combine(left, right)
+
+
+_TOKEN = re.compile(r"\S+")
+
+_SECTION_DIRECTIVES = ("alphabet", "states", "initial", "final")
+
+_EXPRESSION_MARKS = ";|()"
+
+
+def reference_parse_automaton(text: str) -> tuple[str, Automaton]:
+    """Parse one automaton file; returns its declared name and the value.
+
+    All problems found in one pass are reported together.  A successful
+    parse always yields an automaton with a clean validation report, since
+    every transition endpoint and letter is resolved against the declared
+    sections.
+    """
+    diagnostics: list[ParseDiagnostic] = []
+    content: list[tuple[int, list[tuple[str, int]]]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0]
+        tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(body)]
+        if tokens:
+            content.append((lineno, tokens))
+
+    if not content:
+        raise ParseError(
+            [ParseDiagnostic(1, 1, "missing-name", "empty file: expected a name line")]
+        )
+
+    name = None
+    body_lines = content
+    first_line, first_tokens = content[0]
+    if first_tokens[0][0] == "name":
+        body_lines = content[1:]
+        if len(first_tokens) != 2:
+            diagnostics.append(
+                ParseDiagnostic(
+                    first_line,
+                    first_tokens[0][1],
+                    "malformed-line",
+                    "name takes exactly one identifier",
+                )
+            )
+        elif any(ch in _EXPRESSION_MARKS for ch in first_tokens[1][0]):
+            diagnostics.append(
+                ParseDiagnostic(
+                    first_line,
+                    first_tokens[1][1],
+                    "bad-name",
+                    f"device name {first_tokens[1][0]!r} contains one of "
+                    f"{_EXPRESSION_MARKS!r}, which expressions cannot refer to",
+                )
+            )
+        else:
+            name = first_tokens[1][0]
+    else:
+        diagnostics.append(
+            ParseDiagnostic(
+                first_line,
+                first_tokens[0][1],
+                "missing-name",
+                "first content line must be 'name <ident>'",
+            )
+        )
+
+    sections: dict[str, list[tuple[str, int]]] = {}
+    section_lines: dict[str, int] = {}
+    edges: list[tuple[int, list[tuple[str, int]]]] = []
+    for lineno, tokens in body_lines:
+        directive, column = tokens[0]
+        rest = tokens[1:]
+        if directive == "name":
+            diagnostics.append(
+                ParseDiagnostic(
+                    lineno, column, "duplicate-section", "name already declared"
+                )
+            )
+        elif directive in _SECTION_DIRECTIVES:
+            if directive in sections:
+                diagnostics.append(
+                    ParseDiagnostic(
+                        lineno,
+                        column,
+                        "duplicate-section",
+                        f"{directive} already declared on line {section_lines[directive]}",
+                    )
+                )
+                continue
+            if directive == "initial" and len(rest) != 1:
+                diagnostics.append(
+                    ParseDiagnostic(
+                        lineno,
+                        column,
+                        "malformed-line",
+                        "initial takes exactly one state",
+                    )
+                )
+                continue
+            sections[directive] = rest
+            section_lines[directive] = lineno
+        elif directive == "trans":
+            if len(rest) != 3:
+                diagnostics.append(
+                    ParseDiagnostic(
+                        lineno,
+                        column,
+                        "malformed-line",
+                        "trans takes exactly: <from> <letter|eps> <to>",
+                    )
+                )
+            else:
+                edges.append((lineno, rest))
+        else:
+            diagnostics.append(
+                ParseDiagnostic(
+                    lineno, column, "unknown-directive", f"unknown directive {directive!r}"
+                )
+            )
+
+    states_by_token: dict[str, StateId] = {}
+    states_line = section_lines.get("states", 1)
+    for token, column in sections.get("states", []):
+        try:
+            states_by_token[token] = state(token)
+        except ValueError as err:
+            diagnostics.append(
+                ParseDiagnostic(states_line, column, "bad-state-name", str(err))
+            )
+
+    alphabet: dict[str, Symbol] = {}
+    alphabet_line = section_lines.get("alphabet", 1)
+    for token, column in sections.get("alphabet", []):
+        if token == EPSILON_TOKEN:
+            diagnostics.append(
+                ParseDiagnostic(
+                    alphabet_line,
+                    column,
+                    "reserved-token",
+                    f"{EPSILON_TOKEN!r} is implicit in every alphabet",
+                )
+            )
+        else:
+            try:
+                alphabet[token] = Symbol(token)
+            except ValueError as err:
+                diagnostics.append(
+                    ParseDiagnostic(alphabet_line, column, "bad-letter", str(err))
+                )
+
+    def resolve_state(token: str, lineno: int, column: int) -> StateId | None:
+        found = states_by_token.get(token)
+        if found is None:
+            diagnostics.append(
+                ParseDiagnostic(
+                    lineno, column, "unknown-state", f"state {token!r} is not declared"
+                )
+            )
+        return found
+
+    initial = None
+    if "initial" in sections:
+        token, column = sections["initial"][0]
+        initial = resolve_state(token, section_lines["initial"], column)
+    else:
+        diagnostics.append(
+            ParseDiagnostic(1, 1, "missing-initial", "no initial line declared")
+        )
+
+    finals: set[StateId] = set()
+    finals_line = section_lines.get("final", 1)
+    for token, column in sections.get("final", []):
+        resolved = resolve_state(token, finals_line, column)
+        if resolved is not None:
+            finals.add(resolved)
+
+    transitions: dict[tuple[StateId, Symbol], set[StateId]] = {}
+    for lineno, ((from_tok, from_col), (sym_tok, sym_col), (to_tok, to_col)) in edges:
+        source = resolve_state(from_tok, lineno, from_col)
+        target = resolve_state(to_tok, lineno, to_col)
+        if sym_tok == EPSILON_TOKEN:
+            symbol = EPSILON
+        else:
+            symbol = alphabet.get(sym_tok)
+            if symbol is None:
+                diagnostics.append(
+                    ParseDiagnostic(
+                        lineno,
+                        sym_col,
+                        "unknown-symbol",
+                        f"letter {sym_tok!r} is not in the alphabet",
+                    )
+                )
+        if source is not None and target is not None and symbol is not None:
+            transitions.setdefault((source, symbol), set()).add(target)
+
+    if diagnostics:
+        diagnostics.sort(key=lambda d: (d.line, d.column))
+        raise ParseError(diagnostics)
+
+    assert name is not None and initial is not None
+    automaton = Automaton(
+        alphabet=frozenset(alphabet.values()),
+        states=frozenset(states_by_token.values()),
+        initial=initial,
+        transitions={k: frozenset(v) for k, v in transitions.items()},
+        finals=frozenset(finals),
+    )
+    return name, automaton
 
 
 def in_l1(text: str) -> bool:

@@ -18,6 +18,7 @@ from nfalgebra import (
     letter,
     pad_alphabet,
     parallel,
+    render_automaton,
 )
 from nfalgebra.properties import random_automaton
 
@@ -120,3 +121,100 @@ def invalid_automata(draw) -> Automaton:
         transitions=transitions,
         finals=base.finals | set(draw(st.lists(st.sampled_from(GHOSTS)))),
     )
+
+
+# What separates tokens in a corrupted file: every one is whitespace to
+# ``str.split`` and to the regular expression ``\S+`` alike.
+_SEPARATORS = (" ", " ", "  ", "\t", "\xa0", "\u3000", " \t\xa0")
+
+# Tokens a corruption may splice into a line; each is out of place
+# somewhere: a directive, a reserved or malformed name, an undeclared
+# state or letter, or a comment mark.
+_ODD_TOKENS = (
+    "name",
+    "alphabet",
+    "states",
+    "initial",
+    "final",
+    "trans",
+    "loop",
+    "eps",
+    "a..b",
+    ".s0",
+    "x,y",
+    "A;B",
+    "s9",
+    "L.s0",
+    "c",
+    "#",
+    "s0#note",
+)
+
+_EDITS = (
+    "swap-lines",
+    "drop-line",
+    "duplicate-line",
+    "comment-line",
+    "swap-tokens",
+    "drop-token",
+    "duplicate-token",
+    "odd-token",
+    "replace-token",
+)
+
+
+@st.composite
+def corrupted_files(draw) -> str:
+    """The canonical text of a random device, then edited: lines and tokens
+    swapped, dropped, duplicated or replaced, comment lines added, and every
+    gap respaced with tabs, no-break or ideographic spaces, with trailing
+    comments and CRLF line ends.  Most results are invalid files."""
+    device = draw(leaf_devices())
+    name = draw(st.sampled_from(("T", "N1", "L.T")))
+    lines = [line.split(" ") for line in render_automaton(device, name).splitlines()]
+
+    def index(seq: list, extra: int = 0) -> int:
+        return draw(st.integers(0, len(seq) - 1 + extra))
+
+    for _ in range(draw(st.integers(0, 8))):
+        edit = draw(st.sampled_from(_EDITS))
+        if edit == "comment-line":
+            lines.insert(index(lines, 1), ["#", "note"])
+            continue
+        if not lines:
+            continue
+        # Half of the edits land on the five section lines, which
+        # trans lines would otherwise outnumber.
+        i = index(lines[:5] if draw(st.booleans()) else lines)
+        line = lines[i]
+        if edit == "swap-lines":
+            j = index(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "drop-line":
+            del lines[i]
+        elif edit == "duplicate-line":
+            lines.insert(index(lines, 1), list(line))
+        elif edit == "odd-token":
+            line.insert(index(line, 1), draw(st.sampled_from(_ODD_TOKENS)))
+        elif line:
+            k = index(line)
+            if edit == "swap-tokens":
+                m = index(line)
+                line[k], line[m] = line[m], line[k]
+            elif edit == "drop-token":
+                del line[k]
+            elif edit == "replace-token":
+                line[k] = draw(st.sampled_from(_ODD_TOKENS))
+            else:
+                line.insert(index(line, 1), line[k])
+
+    def spaced(tokens: list[str]) -> str:
+        text = draw(st.sampled_from(("", "", " ", "\t", "\u3000")))
+        for position, token in enumerate(tokens):
+            if position:
+                text += draw(st.sampled_from(_SEPARATORS))
+            text += token
+        return text + draw(st.sampled_from(("", "", " ", "\xa0", " # note", "#")))
+
+    ending = draw(st.sampled_from(("\n", "\n", "\r\n")))
+    return "".join(spaced(tokens) + ending for tokens in lines)

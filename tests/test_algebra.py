@@ -32,8 +32,9 @@ from nfalgebra import (
     witness,
     word,
 )
-from nfalgebra import algebra
-from nfalgebra.properties import random_automaton
+from nfalgebra import algebra, fixtures
+from nfalgebra import automaton as automaton_module
+from nfalgebra.properties import random_automaton, run_closure_suite
 
 from .conftest import DEEP_LEAVES
 from .oracles import reference_elaborate
@@ -234,20 +235,39 @@ class TestElaborate:
         with pytest.raises(InvalidDeviceError, match="'Bad'.*initial-not-in-states"):
             elaborate(Concat(Device("Bad"), Device("Gone")), env)
 
-    def test_each_device_is_validated_once(self, env, monkeypatch):
-        checked = []
+    def test_each_device_is_validated_once(self, monkeypatch):
+        # A leaf is checked by compiling its kernel, which is cached on the
+        # value; fresh parses of N1 and N2 have none yet.
+        compiled = []
 
-        def counting_validate(automaton):
-            checked.append(automaton)
-            return validate(automaton)
+        def counting_kernel(value):
+            compiled.append(value)
+            return kernel_class(value)
 
-        monkeypatch.setattr(algebra, "validate", counting_validate)
+        kernel_class = automaton_module._Kernel
+        monkeypatch.setattr(automaton_module, "_Kernel", counting_kernel)
+        env = {"N1": fixtures.n1(), "N2": fixtures.n2()}
         names = ["N1", "N2", "N1", "N1", "N2"]
         expr = Device(names[0])
         for name in names[1:]:
             expr = Parallel(expr, Concat(Device(name), expr))
         elaborate(expr, env)
-        assert len(checked) == 2
+        elaborate(expr, env)
+        assert [id(value) for value in compiled] == [id(env["N1"]), id(env["N2"])]
+
+    def test_valid_leaves_are_never_validated(self, env, monkeypatch):
+        # ``validate`` only words the error for a leaf that failed to compile.
+        calls = []
+
+        def counting_validate(value):
+            calls.append(value)
+            return validate(value)
+
+        monkeypatch.setattr(algebra, "validate", counting_validate)
+        monkeypatch.setattr(automaton_module, "validate", counting_validate)
+        elaborate(Parallel(Concat(Device("N1"), Device("N2")), Device("N1")), env)
+        run_closure_suite(42, 200)
+        assert calls == []
 
     def test_deep_chain_needs_no_recursion(self, env, deep_chain, shallow_stack):
         names, expr, _, member = deep_chain

@@ -1,9 +1,10 @@
 """Text formats: automaton files, expressions, input words, DOT export."""
 
 import random
+import time
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nfalgebra import (
@@ -26,6 +27,9 @@ from nfalgebra import (
     word,
 )
 from nfalgebra.properties import random_automaton, random_expression
+
+from .oracles import reference_parse_automaton
+from .strategies import corrupted_files
 
 # Letter spellings for the input-word round trip: one-character letters
 # only (which spell e·p·s), then mixes of one-character and longer letters.
@@ -143,6 +147,43 @@ class TestParseAutomaton:
         with pytest.raises(ParseError) as err:
             parse_automaton(text)
         assert codes(err.value) == ["unknown-directive"]
+
+    def test_many_diagnostics_on_one_line_cost_linear_time(self):
+        # Each line's columns are found once, however many diagnostics name
+        # it; finding them per diagnostic would take quadratic time here.
+        count = 20_000
+        final = " ".join(f"g{i}" for i in range(count))
+        text = f"name T\nstates p0\ninitial p0\nfinal {final}\n"
+        started = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_automaton(text)
+        elapsed = time.perf_counter() - started
+        assert codes(err.value) == ["unknown-state"] * count
+        last = err.value.diagnostics[-1]
+        assert (last.line, last.column) == (4, len(final) - len(f"g{count - 1}") + 7)
+        assert elapsed < 3.0, f"{count} diagnostics took {elapsed:.2f}s"
+
+
+def parse_outcome(parse, text: str):
+    """The parsed (name, automaton), or the diagnostics of the ParseError."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return err.diagnostics
+
+
+class TestParseAutomatonAgainstReference:
+    @given(corrupted_files())
+    @settings(max_examples=300, deadline=None)
+    @example("")
+    @example("\xa0\u3000\t# only a comment\n")
+    @example("name\xa0T\u3000x\nstates s0\tp0 s0\ninitial s9\nfinal s0 s0 s9\n")
+    @example("trans s0 a\nname T\nname T\nalphabet eps a a x,y\ninitial s0 s1\n")
+    @example("name A;B\nstates a..b .s0 s0\ninitial s0\nfinal a..b\n")
+    def test_same_value_or_same_diagnostics(self, text):
+        assert parse_outcome(parse_automaton, text) == parse_outcome(
+            reference_parse_automaton, text
+        )
 
 
 class TestRenderAutomaton:
