@@ -10,149 +10,55 @@ where control is handed over, canonical text formats, DOT export, and a
 seeded property suite.
 """
 
-from .algebra import (
-    CompositionExpr,
-    Concat,
-    Device,
-    DeviceEnvironment,
-    InvalidDeviceError,
-    Parallel,
-    StateClashError,
-    UnboundDeviceError,
-    concat,
-    elaborate,
-    instantiate,
-    leaf_devices,
-    parallel,
-    subexpressions,
-)
-from .analysis import (
-    Dfa,
-    EnumerationBoundError,
-    EquivalenceVerdict,
-    SubsetState,
-    determinize,
-    dfa_to_automaton,
-    enumerate_language,
-    equivalent,
-)
-from .automaton import (
-    EPSILON,
-    EPSILON_TOKEN,
-    Automaton,
-    InvalidAutomatonError,
-    RunWitness,
-    StateId,
-    Symbol,
-    UnknownSymbolError,
-    Violation,
-    Word,
-    accepts,
-    check_witness,
-    letter,
-    pad_alphabet,
-    state,
-    symbol_key,
-    validate,
-    witness,
-    word,
-)
-from .textio import (
-    ParseDiagnostic,
-    ParseError,
-    format_word,
-    parse_automaton,
-    parse_expression,
-    parse_input,
-    render_automaton,
-    render_dot,
-    render_expression,
-)
-from .trace import (
-    Activate,
-    ControlTrace,
-    Handoff,
-    Step,
-    TraceEvent,
-    Verdict,
-    control_trace,
-    parallel_verdicts,
-    splits,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
+# The public names, by the submodule that defines them.  ``import nfalgebra``
+# loads none of these submodules: each loads on first access to one of its
+# names, so a CLI call pays only for the code its subcommand runs, and
+# ``python -m nfalgebra.cli`` finds no half-imported ``cli`` to warn about.
+_EXPORTS = {
+    "algebra": (
+        "CompositionExpr", "Concat", "Device", "DeviceEnvironment",
+        "InvalidDeviceError", "Parallel", "StateClashError", "UnboundDeviceError",
+        "concat", "elaborate", "instantiate", "leaf_devices", "parallel",
+        "subexpressions",
+    ),
+    "analysis": (
+        "Dfa", "EnumerationBoundError", "EquivalenceVerdict", "SubsetState",
+        "determinize", "dfa_to_automaton", "enumerate_language", "equivalent",
+    ),
+    "automaton": (
+        "EPSILON", "EPSILON_TOKEN", "Automaton", "InvalidAutomatonError",
+        "RunWitness", "StateId", "Symbol", "UnknownSymbolError", "Violation",
+        "Word", "accepts", "check_witness", "letter", "pad_alphabet", "state",
+        "symbol_key", "validate", "witness", "word",
+    ),
+    "cli": ("run_cli",),
+    "textio": (
+        "ParseDiagnostic", "ParseError", "format_word", "parse_automaton",
+        "parse_expression", "parse_input", "render_automaton", "render_dot",
+        "render_expression",
+    ),
+    "trace": (
+        "Activate", "ControlTrace", "Handoff", "Step", "TraceEvent", "Verdict",
+        "control_trace", "parallel_verdicts", "splits",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
 
 def __getattr__(name: str):
-    # The CLI (argparse, json, the property suite) loads on first use, so
-    # ``import nfalgebra`` stays light and ``python -m nfalgebra.cli`` finds
-    # no half-imported ``cli`` module to warn about.
-    if name == "run_cli":
-        from .cli import run_cli
-
-        return run_cli
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
 
 
-__all__ = [
-    "EPSILON",
-    "EPSILON_TOKEN",
-    "Activate",
-    "Automaton",
-    "CompositionExpr",
-    "Concat",
-    "ControlTrace",
-    "Device",
-    "DeviceEnvironment",
-    "Dfa",
-    "EnumerationBoundError",
-    "EquivalenceVerdict",
-    "Handoff",
-    "InvalidAutomatonError",
-    "InvalidDeviceError",
-    "Parallel",
-    "ParseDiagnostic",
-    "ParseError",
-    "RunWitness",
-    "StateClashError",
-    "StateId",
-    "Step",
-    "SubsetState",
-    "Symbol",
-    "TraceEvent",
-    "UnboundDeviceError",
-    "UnknownSymbolError",
-    "Verdict",
-    "Violation",
-    "Word",
-    "accepts",
-    "check_witness",
-    "concat",
-    "control_trace",
-    "determinize",
-    "dfa_to_automaton",
-    "elaborate",
-    "enumerate_language",
-    "equivalent",
-    "format_word",
-    "instantiate",
-    "leaf_devices",
-    "letter",
-    "pad_alphabet",
-    "parallel",
-    "parallel_verdicts",
-    "parse_automaton",
-    "parse_expression",
-    "parse_input",
-    "render_automaton",
-    "render_dot",
-    "render_expression",
-    "run_cli",
-    "splits",
-    "state",
-    "subexpressions",
-    "symbol_key",
-    "validate",
-    "witness",
-    "word",
-]
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -13,18 +13,15 @@ errors.  Results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import textwrap
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .algebra import elaborate
-from .analysis import determinize, dfa_to_automaton, equivalent
-from .automaton import Automaton, Symbol, accepts, validate
-from .properties import DEFAULT_LETTERS, run_closure_suite
+from .automaton import Automaton, Symbol, accepts
 from .textio import (
     ParseError,
+    _Spellings,
     format_word,
     parse_automaton,
     parse_expression,
@@ -32,7 +29,12 @@ from .textio import (
     render_automaton,
     render_dot,
 )
-from .trace import Activate, ControlTrace, Handoff, Step, Verdict, _trace_composite
+
+if TYPE_CHECKING:
+    from .trace import ControlTrace
+
+# Each handler imports what only it runs (analysis, trace, the property
+# suite, json, textwrap), so a call loads only its own subcommand's code.
 
 __all__ = ["build_parser", "main", "run_cli"]
 
@@ -164,15 +166,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 print(f"{path}:{diagnostic.render()}", file=sys.stderr)
             status = 2
             continue
-        problems = validate(automaton)
-        if problems:
-            for violation in problems:
-                print(f"{path}: {violation.code}: {violation.message}", file=sys.stderr)
-            status = 2
-            continue
+        # A parse resolves every endpoint and letter, so what parses is valid.
+        transitions = sum(map(len, automaton.transitions.values()))
         print(
             f"{path}: ok ({name}: {len(automaton.states)} states, "
-            f"{len(automaton.edges())} transitions)"
+            f"{transitions} transitions)"
         )
     return status
 
@@ -187,45 +185,72 @@ def _cmd_accept(args: argparse.Namespace) -> int:
     return 0 if verdict else 1
 
 
-def _trace_payload(trace: ControlTrace, alphabet: Iterable[Symbol]) -> dict:
-    events: list[dict] = []
+def _trace_json(trace: ControlTrace, alphabet: Iterable[Symbol]) -> str:
+    """The trace as ``json.dumps(payload, indent=2)`` spells it, written from
+    one fixed template per event kind: with ``indent`` set, CPython up to
+    3.13 falls back to its pure-Python encoder, which costs more than
+    tracing a long word does."""
+    from json.encoder import encode_basestring_ascii
+
+    from .trace import Activate, Handoff, Step, Verdict
+
+    q = _Spellings(encode_basestring_ascii)  # a run repeats few names
+    events = []
     for event in trace.events:
-        if isinstance(event, Activate):
-            events.append({"kind": "activate", "device": event.device})
-        elif isinstance(event, Step):
+        if isinstance(event, Step):
             events.append(
-                {
-                    "kind": "step",
-                    "device": event.device,
-                    "from": str(event.source),
-                    "letter": str(event.symbol),
-                    "to": str(event.target),
-                }
+                '    {\n      "kind": "step",\n      "device": %s,\n'
+                '      "from": %s,\n      "letter": %s,\n      "to": %s\n    }'
+                % (q[event.device], q[event.source], q[event.symbol], q[event.target])
+            )
+        elif isinstance(event, Activate):
+            events.append(
+                '    {\n      "kind": "activate",\n      "device": %s\n    }'
+                % q[event.device]
             )
         elif isinstance(event, Handoff):
             events.append(
-                {
-                    "kind": "handoff",
-                    "device": event.source_device,
-                    "to_device": event.target_device,
-                    "from": str(event.source),
-                    "letter": "eps",
-                    "to": str(event.target),
-                }
+                '    {\n      "kind": "handoff",\n      "device": %s,\n'
+                '      "to_device": %s,\n      "from": %s,\n'
+                '      "letter": "eps",\n      "to": %s\n    }'
+                % (
+                    q[event.source_device],
+                    q[event.target_device],
+                    q[event.source],
+                    q[event.target],
+                )
             )
         elif isinstance(event, Verdict):
             events.append(
-                {"kind": "verdict", "device": event.device, "accepted": event.accepted}
+                '    {\n      "kind": "verdict",\n      "device": %s,\n'
+                '      "accepted": %s\n    }'
+                % (q[event.device], "true" if event.accepted else "false")
             )
-    return {
-        "input": format_word(trace.input, alphabet),
-        "overall": trace.overall,
-        "devices": dict(sorted(trace.devices.items())),
-        "events": events,
-    }
+    devices = [
+        f"    {q[path]}: {q[name]}" for path, name in sorted(trace.devices.items())
+    ]
+
+    def block(items: list[str], opening: str, closing: str) -> str:
+        # A member's object or array at depth 1, or ``{}`` / ``[]`` when empty.
+        if not items:
+            return opening + closing
+        return f"{opening}\n" + ",\n".join(items) + f"\n  {closing}"
+
+    return "\n".join(
+        [
+            "{",
+            f'  "input": {q[format_word(trace.input, alphabet)]},',
+            f'  "overall": {"true" if trace.overall else "false"},',
+            f'  "devices": {block(devices, "{", "}")},',
+            f'  "events": {block(events, "[", "]")}',
+            "}",
+        ]
+    )
 
 
 def _trace_lines(trace: ControlTrace, alphabet: Iterable[Symbol]) -> list[str]:
+    from .trace import Activate, Handoff, Step, Verdict
+
     def label(path: str) -> str:
         return trace.devices.get(path, path or "root")
 
@@ -253,13 +278,15 @@ def _trace_lines(trace: ControlTrace, alphabet: Iterable[Symbol]) -> list[str]:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from .trace import _trace_composite
+
     env = _load_devices(args.devices)
     expr = parse_expression(args.expr)
     composite = elaborate(expr, env)
     input_word = parse_input(args.input, composite.alphabet)
     trace = _trace_composite(expr, env, composite, input_word)
     if args.json:
-        print(json.dumps(_trace_payload(trace, composite.alphabet), indent=2))
+        print(_trace_json(trace, composite.alphabet))
     else:
         for line in _trace_lines(trace, composite.alphabet):
             print(line)
@@ -267,6 +294,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:
+    from .analysis import equivalent
+
     env = _load_devices(args.devices)
     first = elaborate(parse_expression(args.expr), env)
     second = elaborate(parse_expression(args.expr2), env)
@@ -287,6 +316,8 @@ def _cmd_compose(args: argparse.Namespace) -> int:
 
 
 def _cmd_dfa(args: argparse.Namespace) -> int:
+    from .analysis import determinize, dfa_to_automaton
+
     env = _load_devices(args.devices)
     composite = elaborate(parse_expression(args.expr), env)
     deterministic = dfa_to_automaton(determinize(composite))
@@ -302,6 +333,10 @@ def _cmd_dot(args: argparse.Namespace) -> int:
 
 
 def _cmd_props(args: argparse.Namespace) -> int:
+    import textwrap
+
+    from .properties import DEFAULT_LETTERS, run_closure_suite
+
     result = run_closure_suite(args.seed, args.cases, args.max_len)
     print(f"seed {result.seed} cases {result.cases} max-len {result.max_len}")
     print(f"failures {len(result.failures)}")

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, NoReturn
+from typing import Callable, Iterable, NoReturn
 
 from .algebra import CompositionExpr, Concat, Device, Parallel
 from .automaton import (
@@ -396,6 +396,20 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+class _Spellings(dict):
+    """``spellings[value]`` is ``quote(str(value))``, worked out on first
+    lookup, so a writer quotes each state, letter or name once however many
+    lines repeat it (an invalid automaton's undeclared states included)."""
+
+    def __init__(self, quote: Callable[[str], str]) -> None:
+        super().__init__()
+        self.quote = quote
+
+    def __missing__(self, value: object) -> str:
+        text = self[value] = self.quote(str(value))
+        return text
+
+
 def render_dot(automaton: Automaton, group_by_namespace: bool = False) -> str:
     """DOT graph of an automaton.
 
@@ -412,22 +426,23 @@ def render_dot(automaton: Automaton, group_by_namespace: bool = False) -> str:
         '  "entry point" [shape=point, label=""];',
     ]
     grouped: dict[str | None, list[str]] = {}
+    quoted = _Spellings(_quote)
+    quoted[EPSILON] = _quote("ε")
     for s in sorted(automaton.states, key=_state_order):
         shape = " [shape=doublecircle]" if s in automaton.finals else ""
         cluster = s.namespace[0] if group_by_namespace and s.namespace else None
-        grouped.setdefault(cluster, []).append(f"{_quote(str(s))}{shape};")
+        grouped.setdefault(cluster, []).append(f"{quoted[s]}{shape};")
     for segment in sorted(k for k in grouped if k is not None):
         lines.append(f"  subgraph {_quote('cluster_' + segment)} {{")
         lines.append(f"    label={_quote(segment)};")
         lines.extend(f"    {entry}" for entry in grouped[segment])
         lines.append("  }")
     lines.extend(f"  {entry}" for entry in grouped.get(None, []))
-    lines.append(f'  "entry point" -> {_quote(str(automaton.initial))};')
-    for source, symbol, target in automaton.edges():
-        label = "ε" if symbol.is_epsilon else str(symbol)
-        lines.append(
-            f"  {_quote(str(source))} -> {_quote(str(target))} [label={_quote(label)}];"
-        )
+    lines.append(f'  "entry point" -> {quoted[automaton.initial]};')
+    lines.extend(
+        f"  {quoted[source]} -> {quoted[target]} [label={quoted[symbol]}];"
+        for source, symbol, target in automaton.edges()
+    )
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -17,6 +17,9 @@ product of two ``Dfa`` tables and its least-word search.
 ``reference_parse_automaton`` is the automaton-file parser that tracked a
 column for every token as it read it, where ``parse_automaton`` finds
 columns only for the lines its diagnostics name.
+``trace_payload`` is the ``trace --json`` document as a value:
+``json.dumps(trace_payload(...), indent=2)`` is the text the CLI's
+template writer must produce.
 The string predicates describe the bundled devices' languages directly.
 """
 
@@ -29,25 +32,31 @@ from typing import Callable, Iterable
 from nfalgebra import (
     EPSILON,
     EPSILON_TOKEN,
+    Activate,
     Automaton,
     CompositionExpr,
     Concat,
+    ControlTrace,
     Device,
     DeviceEnvironment,
     Dfa,
     EnumerationBoundError,
     EquivalenceVerdict,
+    Handoff,
     InvalidDeviceError,
     ParseDiagnostic,
     ParseError,
     RunWitness,
     StateId,
+    Step,
     SubsetState,
     Symbol,
     UnboundDeviceError,
     UnknownSymbolError,
+    Verdict,
     Word,
     concat,
+    format_word,
     instantiate,
     pad_alphabet,
     parallel,
@@ -544,6 +553,44 @@ def reference_parse_automaton(text: str) -> tuple[str, Automaton]:
         finals=frozenset(finals),
     )
     return name, automaton
+
+
+def trace_payload(trace: ControlTrace, alphabet: Iterable[Symbol]) -> dict:
+    events: list[dict] = []
+    for event in trace.events:
+        if isinstance(event, Activate):
+            events.append({"kind": "activate", "device": event.device})
+        elif isinstance(event, Step):
+            events.append(
+                {
+                    "kind": "step",
+                    "device": event.device,
+                    "from": str(event.source),
+                    "letter": str(event.symbol),
+                    "to": str(event.target),
+                }
+            )
+        elif isinstance(event, Handoff):
+            events.append(
+                {
+                    "kind": "handoff",
+                    "device": event.source_device,
+                    "to_device": event.target_device,
+                    "from": str(event.source),
+                    "letter": "eps",
+                    "to": str(event.target),
+                }
+            )
+        elif isinstance(event, Verdict):
+            events.append(
+                {"kind": "verdict", "device": event.device, "accepted": event.accepted}
+            )
+    return {
+        "input": format_word(trace.input, alphabet),
+        "overall": trace.overall,
+        "devices": dict(sorted(trace.devices.items())),
+        "events": events,
+    }
 
 
 def in_l1(text: str) -> bool:

@@ -7,11 +7,28 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nfalgebra
-from nfalgebra import cli, fixtures, parse_automaton, run_cli, trace
+from nfalgebra import (
+    EPSILON,
+    Activate,
+    ControlTrace,
+    Handoff,
+    StateId,
+    Step,
+    Verdict,
+    cli,
+    fixtures,
+    letter,
+    parse_automaton,
+    run_cli,
+    trace,
+)
 
 from .conftest import DEEP_LEAVES
+from .oracles import trace_payload
 
 N1 = str(fixtures.builtin_path("N1"))
 N2 = str(fixtures.builtin_path("N2"))
@@ -162,6 +179,41 @@ class TestTrace:
         )
         assert (code, len(calls)) == (0, 1)
         assert "handoff N1 -> N2 via L.p3 -eps-> R.q0" in out
+
+
+# Characters JSON must escape: quotes, backslashes, and control and
+# non-ASCII characters, which become \uXXXX escapes (a surrogate pair for
+# the one outside the BMP).
+_NAME_CHARS = st.sampled_from(
+    ("a", "L", "0", '"', "\\", "\x01", "\x7f", "é", "→", "\U0001f600")
+)
+_SEGMENTS = st.text(_NAME_CHARS, min_size=1, max_size=3)
+_STATES = st.builds(StateId, st.lists(_SEGMENTS, max_size=2).map(tuple), _SEGMENTS)
+_LETTERS = _SEGMENTS.filter(lambda token: token != "eps").map(letter)
+_DEVICES = st.text(max_size=4) | _SEGMENTS
+_EVENTS = st.one_of(
+    st.builds(Activate, _DEVICES),
+    st.builds(Step, _DEVICES, _STATES, _LETTERS | st.just(EPSILON), _STATES),
+    st.builds(Handoff, _DEVICES, _DEVICES, _STATES, _STATES),
+    st.builds(Verdict, _DEVICES, st.booleans()),
+)
+_TRACES = st.builds(
+    ControlTrace,
+    st.lists(_LETTERS, max_size=4),
+    st.booleans(),
+    st.lists(_EVENTS, max_size=6),
+    st.dictionaries(_DEVICES, _DEVICES, max_size=3),
+)
+
+
+@given(_TRACES)
+@settings(max_examples=300, deadline=None)
+@example(ControlTrace((), False, (), {}))
+@example(ControlTrace((letter("a"),), True, (Activate(""),), {"": 'N"\\é'}))
+def test_trace_json_is_what_json_dumps_writes(control):
+    alphabet = set(control.input)
+    expected = json.dumps(trace_payload(control, alphabet), indent=2)
+    assert cli._trace_json(control, alphabet) == expected
 
 
 class TestEquiv:
@@ -350,6 +402,32 @@ class TestModuleEntryPoint:
             "print('run_cli' in nfalgebra.__all__, run_cli is nfalgebra.cli.run_cli)",
         )
         assert (done.stdout, done.stderr) == ("False\nTrue True\n", "")
+
+
+class TestImportFootprint:
+    def test_package_import_loads_no_submodule(self):
+        done = run_python(
+            "-c",
+            "import sys, nfalgebra\n"
+            "print(sorted(m for m in sys.modules if m.startswith('nfalgebra.')))\n"
+            "print(set(nfalgebra.__all__) <= set(dir(nfalgebra)))",
+        )
+        assert (done.stdout, done.stderr) == ("[]\nTrue\n", "")
+
+    def test_accept_leaves_other_subcommands_unloaded(self):
+        done = run_python(
+            "-c",
+            "import sys\n"
+            f"sys.argv = ['nfalgebra', 'accept', '-d', {N1!r}, '-e', 'N1', '-i', 'abaabaa']\n"
+            "from nfalgebra.cli import main\n"
+            "try:\n"
+            "    main()\n"
+            "except SystemExit as stop:\n"
+            "    print(stop.code)\n"
+            "unused = {'nfalgebra.analysis', 'nfalgebra.trace', 'nfalgebra.properties', 'json'}\n"
+            "print(sorted(unused & sys.modules.keys()))",
+        )
+        assert (done.stdout, done.stderr) == ("accept\n0\n[]\n", "")
 
 
 class TestUsage:

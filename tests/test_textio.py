@@ -24,6 +24,7 @@ from nfalgebra import (
     render_dot,
     render_expression,
     state,
+    validate,
     word,
 )
 from nfalgebra.properties import random_automaton, random_expression
@@ -184,6 +185,18 @@ class TestParseAutomatonAgainstReference:
         assert parse_outcome(parse_automaton, text) == parse_outcome(
             reference_parse_automaton, text
         )
+
+
+@given(corrupted_files())
+@settings(max_examples=200, deadline=None)
+def test_what_parses_is_valid(text):
+    # Why ``check`` runs no ``validate`` after a parse: every endpoint and
+    # letter was resolved against the declared sections.
+    try:
+        _, automaton = parse_automaton(text)
+    except ParseError:
+        return
+    assert validate(automaton) == []
 
 
 class TestRenderAutomaton:
