@@ -369,6 +369,42 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _gather(row: list[int], mask: int) -> int:
+    """The union of ``row[i]`` over the set bits ``i`` of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= row[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _sweep(start: int, table: list[list[int]], indices: list[int]) -> list[int]:
+    """The mask after each prefix of ``indices``, ``len(indices) + 1`` of
+    them, from ``start`` through ``table`` (one row per letter); 0 once the
+    mask dies.
+
+    The memo (mask to successor, per letter) lives for this call.
+    """
+    masks = [start]
+    append = masks.append
+    memo: list[dict[int, int]] = [{} for _ in table]
+    current = start
+    for k in indices:
+        if not current:
+            break
+        known = memo[k]
+        # Masks repeat along a word, so a memo hit is the common case.
+        try:
+            current = known[current]
+        except KeyError:
+            following = known[current] = _gather(table[k], current)
+            current = following
+        append(current)
+    masks += [0] * (len(indices) + 1 - len(masks))
+    return masks
+
+
 def _closures(epsilon: list[list[int]]) -> list[int]:
     """Empty-string closure mask of every state, by fixpoint iteration.
 
@@ -397,15 +433,20 @@ class _Kernel:
     ``symbol_key`` order, so comparing indices orders them as the values
     do.  A set of states is an ``int`` bitmask: ``closure[i]`` is the
     empty-string closure of state ``i`` and ``successors[k][i]`` the closed
-    successor mask of state ``i`` on letter ``k``.
+    successor mask of state ``i`` on letter ``k``.  A word runs both ways:
+    ``run`` gives the frontier after each prefix, and ``live`` the
+    co-reachable mask of each position, the states from which the rest of
+    the word leads to a final state.
 
     Compiling is the one validity gate: an automaton that ``validate``
     rejects raises ``InvalidAutomatonError`` here, so nothing that runs on
     the kernel meets an undeclared state or an unknown letter.
 
-    Nothing changes after construction except ``_moves``, which ``witness``
-    builds on first use; building is idempotent, so threads racing on it at
-    worst build it twice.
+    Nothing changes after construction except two tables built on first
+    use: ``_moves``, the search moves of ``witness``, and
+    ``_predecessors``, the reversed successor table that ``live`` walks.
+    Building is idempotent, so threads racing on one at worst build it
+    twice.
     """
 
     def __init__(self, automaton: Automaton) -> None:
@@ -441,23 +482,15 @@ class _Kernel:
         self.successors = [[self.close(mask) for mask in row] for row in self.direct]
         self._moves: tuple[list[list[tuple[int, ...]]], list[tuple[int, ...]]] | None
         self._moves = None
+        self._predecessors: tuple[list[list[int]], int] | None = None
 
     def close(self, mask: int) -> int:
         """The empty-string closure of a set of states."""
-        out = 0
-        for i in _bits(mask):
-            out |= self.closure[i]
-        return out
+        return _gather(self.closure, mask)
 
     def advance(self, mask: int, letter_index: int) -> int:
         """The closed successor of a closed frontier on one letter."""
-        row = self.successors[letter_index]
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= row[low.bit_length() - 1]
-            mask ^= low
-        return out
+        return _gather(self.successors[letter_index], mask)
 
     def subset(self, mask: int) -> tuple[StateId, ...]:
         """A set of states as a sorted tuple."""
@@ -475,22 +508,45 @@ class _Kernel:
                 f"symbol {shown} is not a letter of the alphabet"
             ) from None
 
-    def run(self, indices: list[int]) -> int:
-        """The frontier after reading ``indices``; 0 once it dies.
+    def run(self, indices: list[int]) -> list[int]:
+        """The frontier after each prefix, ``len(indices) + 1`` of them:
+        ``run(w)[p]`` is the closed set of states that ``w[:p]`` leads to."""
+        return _sweep(self.start, self.successors, indices)
 
-        The memo (frontier to successor, per letter) lives for this call.
+    def live(self, indices: list[int]) -> list[int]:
+        """The co-reachable mask of every position, ``len(indices) + 1`` of
+        them: bit ``i`` of ``live(w)[p]`` is set when ``w[p:]`` leads from
+        state ``i`` to a final state.  The pass runs right to left over
+        ``predecessors()``; from where the mask dies, every entry is 0."""
+        rows, cofinals = self.predecessors()
+        masks = _sweep(cofinals, rows, indices[::-1])
+        masks.reverse()
+        return masks
+
+    def predecessors(self) -> tuple[list[list[int]], int]:
+        """The reversed successor table, with the states that reach a final
+        state by empty-string moves alone.
+
+        ``predecessors()[0][k][t]`` is the set of states whose closure has a
+        move on letter ``k`` to state ``t``, so the union of its rows over a
+        set ``S`` is every state from which letter ``k`` and then
+        empty-string moves can reach ``S``.
         """
-        memo: list[dict[int, int]] = [{} for _ in self.letters]
-        current = self.start
-        for k in indices:
-            if not current:
-                return 0
-            known = memo[k]
-            following = known.get(current)
-            if following is None:
-                following = known[current] = self.advance(current, k)
-            current = following
-        return current
+        if self._predecessors is None:
+            n = len(self.states)
+            coclosure = [0] * n
+            for i, mask in enumerate(self.closure):
+                for j in _bits(mask):
+                    coclosure[j] |= 1 << i
+            rows = []
+            for direct in self.direct:
+                row = [0] * n
+                for j, targets in enumerate(direct):
+                    for t in _bits(targets):
+                        row[t] |= coclosure[j]
+                rows.append(row)
+            self._predecessors = (rows, _gather(coclosure, self.finals))
+        return self._predecessors
 
     def moves(self) -> tuple[list[list[tuple[int, ...]]], list[tuple[int, ...]]]:
         """The moves of ``witness``'s search, as offsets between configurations.
@@ -541,7 +597,7 @@ def accepts(automaton: Automaton, input_word: Iterable[Symbol]) -> bool:
     spell them out.  True iff some run over the input ends in a final state.
     """
     kernel = _kernel(automaton)
-    return bool(kernel.run(kernel.indices(input_word)) & kernel.finals)
+    return bool(kernel.run(kernel.indices(input_word))[-1] & kernel.finals)
 
 
 @dataclass(frozen=True)
@@ -566,19 +622,26 @@ def witness(automaton: Automaton, input_word: Iterable[Symbol]) -> RunWitness | 
     The choice is deterministic: shortest in total steps (empty-string moves
     count as steps), ties broken per step by the (state, symbol) ordering.
     Search runs over (letters consumed, state) configurations, so cycles of
-    empty-string moves never recur and termination is immediate.
+    empty-string moves never recur and termination is immediate.  One
+    backward pass (``_Kernel.live``) first marks the live configurations,
+    those from which the rest of the input reaches a final state: it
+    decides acceptance, and the breadth-first search then queues only live
+    configurations, which leaves its result unchanged.
     """
     input_word = tuple(input_word)
     kernel = _kernel(automaton)
     indices = kernel.indices(input_word)
-    if not kernel.run(indices) & kernel.finals:
+    live = kernel.live(indices)
+    if not live[0] >> kernel.initial & 1:
         return None
     on_letter, on_epsilon = kernel.moves()
     n, end = len(kernel.states), len(input_word)
     # A configuration is position * n + state; sorted moves make the first
     # discovery of each configuration the one by the least (state, symbol).
-    # The kernel saw an accepting frontier, so a goal is reached before the
-    # queue runs dry.
+    # Only live configurations, those that can still reach a goal, are
+    # queued: a dead one has no live successor, so skipping it changes
+    # neither the parent nor the queue order of a live one.  The initial
+    # configuration is live, so a goal is reached before the queue runs dry.
     parents: dict[int, int] = {kernel.initial: -1}
     queue: deque[int] = deque([kernel.initial])
     while True:
@@ -592,7 +655,7 @@ def witness(automaton: Automaton, input_word: Iterable[Symbol]) -> RunWitness | 
             offsets = on_letter[indices[position]][current]
         for offset in offsets:
             successor = config + offset
-            if successor not in parents:
+            if successor not in parents and live[successor // n] >> successor % n & 1:
                 parents[successor] = config
                 queue.append(successor)
     states = [kernel.states[current]]

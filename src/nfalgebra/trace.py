@@ -9,7 +9,9 @@ next device, and what each device decides.
 
 ``splits`` and ``parallel_verdicts`` are the matching oracles: they judge
 an input using only the operand automata, never the composite, which is
-what makes them fit to check the composition laws.
+what makes them fit to check the composition laws.  ``splits`` cuts a
+word in two linear passes, forward over the left operand and backward
+over the right one; ``parallel_verdicts`` runs each operand on the word.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .automaton import (
     StateId,
     Symbol,
     Word,
+    _kernel,
     _on_union_alphabet,
     accepts,
     pad_alphabet,
@@ -185,16 +188,21 @@ def splits(
     """Every index cutting the input into an accepted prefix/suffix pair.
 
     Index ``i`` is reported when ``input[:i]`` is in the left language and
-    ``input[i:]`` in the right one, decided by direct membership tests on
-    the operands over their union alphabet.  Never consults a composite.
+    ``input[i:]`` in the right one.  Two linear passes over the operands,
+    on their union alphabet, decide every index at once: a forward pass of
+    the left operand marks the prefixes it accepts, and a backward pass of
+    the right one the suffixes that lead its initial state to a final
+    state.  Never consults a composite.
     """
     input_word = tuple(input_word)
     padded_left, padded_right = _on_union_alphabet(left, right)
+    first, second = _kernel(padded_left), _kernel(padded_right)
+    prefixes = first.run(first.indices(input_word))
+    suffixes = second.live(second.indices(input_word))
     return {
         i
-        for i in range(len(input_word) + 1)
-        if accepts(padded_left, input_word[:i])
-        and accepts(padded_right, input_word[i:])
+        for i, (ahead, behind) in enumerate(zip(prefixes, suffixes))
+        if ahead & first.finals and behind >> second.initial & 1
     }
 
 

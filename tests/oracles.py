@@ -10,7 +10,9 @@ and ``reference_enumerate_language`` are the set-based search, subset
 construction, product equivalence and brute-force enumeration that the
 kernel replaced; they run on ``step`` and ``epsilon_closure`` and on
 ``product`` and ``is_empty`` below, so the kernel is judged by code that
-never touches it.  ``product`` and ``is_empty`` are the synchronous
+never touches it.  ``reference_splits`` is the quadratic ``splits`` that
+ran a membership test on every prefix and every suffix; here the tests
+are ``oracle_accepts``.  ``product`` and ``is_empty`` are the synchronous
 product of two ``Dfa`` tables and its least-word search.
 ``reference_elaborate`` is the recursive fold of ``instantiate``,
 ``concat`` and ``parallel`` that the one-pass ``elaborate`` replaced.
@@ -326,6 +328,17 @@ def reference_enumerate_language(
     explore((), epsilon_closure(automaton, (automaton.initial,)), max_len)
     accepted.sort(key=lambda w: (len(w), tuple(symbol_key(s) for s in w)))
     return accepted
+
+
+def reference_splits(left: Automaton, right: Automaton, input_word: Word) -> set[int]:
+    """Every cut decided by two ``oracle_accepts`` calls, one on the prefix
+    and one on the suffix."""
+    return {
+        i
+        for i in range(len(input_word) + 1)
+        if oracle_accepts(left, input_word[:i])
+        and oracle_accepts(right, input_word[i:])
+    }
 
 
 def reference_elaborate(expr: CompositionExpr, env: DeviceEnvironment) -> Automaton:

@@ -1,14 +1,17 @@
 """The integer kernel against the set-based references it replaced.
 
-``accepts``, ``witness``, ``determinize``, ``equivalent`` and
-``enumerate_language`` run on a dense
-bitmask form compiled once per automaton.  Each is compared for exact
-equality with the set-based reference in ``tests/oracles.py``, which runs
-on the ``step`` and ``epsilon_closure`` kept there and never touches the
-kernel.  Compiling is the one validity gate: every operation that
-simulates rejects an automaton ``validate`` rejects.
+``accepts``, ``witness``, ``determinize``, ``equivalent``,
+``enumerate_language`` and ``splits`` run on a dense bitmask form compiled
+once per automaton.  Each is compared for exact equality with its
+reference in ``tests/oracles.py``, which runs on the ``step`` and
+``epsilon_closure`` kept there, or on ``oracle_accepts``, and never
+touches the kernel.  ``witness`` searches only the configurations that a
+backward pass marks live; ``TestWitnessPruning`` checks that this leaves
+every run as the reference finds it.  Compiling is the one validity gate:
+every operation that simulates rejects an automaton ``validate`` rejects.
 """
 
+import random
 import sys
 import threading
 
@@ -20,26 +23,31 @@ from nfalgebra import (
     EPSILON,
     Automaton,
     InvalidAutomatonError,
+    UnknownSymbolError,
     accepts,
     determinize,
+    elaborate,
     enumerate_language,
     equivalent,
     instantiate,
     letter,
     pad_alphabet,
     parallel_verdicts,
+    parse_expression,
     splits,
     state,
     validate,
     witness,
     word,
 )
+from nfalgebra.automaton import _Kernel, _kernel
 
 from .oracles import (
     oracle_accepts,
     reference_determinize,
     reference_enumerate_language,
     reference_equivalent,
+    reference_splits,
     reference_witness,
 )
 from .strategies import (
@@ -104,6 +112,105 @@ class TestAgainstReferences:
             assert equivalent(left, right) == reference_equivalent(left, right)
 
 
+# c* alone: over {c}, so beside EPSILON_CYCLE (over {a, b}) both operands
+# of ``splits`` are padded to the union alphabet.
+C_LOOP = Automaton(
+    alphabet=frozenset({EXTRA}),
+    states=frozenset({S0}),
+    initial=S0,
+    transitions={(S0, EXTRA): frozenset({S0})},
+    finals=frozenset({S0}),
+)
+
+
+class TestSplits:
+    @given(automata(), automata(), words())
+    @example(EPSILON_CYCLE, EPSILON_CYCLE, word("abab"))
+    @example(EPSILON_CYCLE, C_LOOP, ())
+    @example(C_LOOP, C_LOOP, ())
+    @example(EPSILON_CYCLE, C_LOOP, word("abcc"))
+    @example(C_LOOP, EPSILON_CYCLE, word("ccab"))
+    @settings(max_examples=200)
+    def test_matches_reference(self, left, right, input_word):
+        assert splits(left, right, input_word) == reference_splits(
+            left, right, input_word
+        )
+
+
+DEAD = state("d")
+
+# From s0, the empty-string cycle s0 <-> s1 reaches both the live branch
+# (s1 -a-> s2, final) and DEAD, which sorts before every live state and
+# reads any word without reaching a final state.  The search meets DEAD's
+# configurations first at every position it reaches s1.
+DEAD_FIRST = Automaton(
+    alphabet=frozenset(LETTERS),
+    states=frozenset({DEAD, S0, S1, S2}),
+    initial=S0,
+    transitions={
+        (S0, EPSILON): frozenset({S1}),
+        (S1, EPSILON): frozenset({S0, DEAD}),
+        (S1, A): frozenset({S2}),
+        (DEAD, A): frozenset({DEAD}),
+        (DEAD, B): frozenset({DEAD}),
+        (S2, EPSILON): frozenset({S0}),
+        (S2, B): frozenset({S2}),
+    },
+    finals=frozenset({S2}),
+)
+
+
+def member_word(rng: random.Random, n1_first: bool) -> str:
+    """About 1500 letters in N1 ; N2, or in N2 ; N1 when ``n1_first`` is
+    false: a random N1 word, b third from the right, and a's then b's."""
+    in_n1 = [rng.choice("ab") for _ in range(rng.randint(700, 1000))]
+    in_n1[-3] = "b"
+    in_n2 = "a" * rng.randint(1, 300) + "b" * rng.randint(0, 300)
+    return "".join(in_n1) + in_n2 if n1_first else in_n2 + "".join(in_n1)
+
+
+class TestWitnessPruning:
+    @given(seeded_automata(), words(max_len=10))
+    @example(DEAD_FIRST, word("aab"))
+    @example(DEAD_FIRST, word("abab"))
+    @settings(max_examples=200)
+    def test_matches_reference(self, automaton, input_word):
+        assert witness(automaton, input_word) == reference_witness(
+            automaton, input_word
+        )
+
+    def test_dead_first_is_met_before_the_live_branch(self):
+        kernel = _kernel(DEAD_FIRST)
+        indices = kernel.indices(word("aab"))
+        dead = kernel.states.index(DEAD)
+        assert dead == 0
+        for reached, live in zip(kernel.run(indices), kernel.live(indices)):
+            assert reached >> dead & 1 and not live >> dead & 1
+
+    @pytest.mark.parametrize("text", ["N1 ; N2", "(N1 ; N2) | (N2 ; N1)"])
+    def test_long_member_words(self, env, text):
+        composite = elaborate(parse_expression(text), env)
+        rng = random.Random(2024)
+        inputs = [member_word(rng, True) for _ in range(2)]
+        if "|" in text:
+            inputs.append(member_word(rng, False))
+        for member in inputs:
+            input_word = word(member)
+            run = witness(composite, input_word)
+            assert run is not None and len(run.erased()) == len(member)
+            assert run == reference_witness(composite, input_word)
+
+    def test_unknown_letter_raises_before_any_search(self, n1, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("searched before the alphabet check")
+
+        monkeypatch.setattr(_Kernel, "live", refuse)
+        monkeypatch.setattr(_Kernel, "moves", refuse)
+        input_word = word("abaab") + (letter("z"),) + word("baa")
+        with pytest.raises(UnknownSymbolError, match="^symbol z is not a letter"):
+            witness(n1, input_word)
+
+
 class TestEnumerateLanguage:
     @given(seeded_automata(), st.integers(0, 6))
     @example(EPSILON_CYCLE, 5)
@@ -153,15 +260,6 @@ def rejection(*operands: Automaton) -> str | None:
         if codes:
             return "invalid automaton: " + "; ".join(codes)
     return None
-
-
-def reference_splits(left, right, input_word):
-    return {
-        i
-        for i in range(len(input_word) + 1)
-        if oracle_accepts(left, input_word[:i])
-        and oracle_accepts(right, input_word[i:])
-    }
 
 
 def check_gate(a: Automaton, b: Automaton, input_word) -> None:
