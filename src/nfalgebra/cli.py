@@ -195,14 +195,19 @@ def _trace_json(trace: ControlTrace, alphabet: Iterable[Symbol]) -> str:
     from .trace import Activate, Handoff, Step, Verdict
 
     q = _Spellings(encode_basestring_ascii)  # a run repeats few names
+    steps: dict[tuple, str] = {}  # and few steps, so each is written once
     events = []
     for event in trace.events:
         if isinstance(event, Step):
-            events.append(
-                '    {\n      "kind": "step",\n      "device": %s,\n'
-                '      "from": %s,\n      "letter": %s,\n      "to": %s\n    }'
-                % (q[event.device], q[event.source], q[event.symbol], q[event.target])
-            )
+            fields = event[:]  # a plain tuple, hashed and compared in C
+            text = steps.get(fields)
+            if text is None:
+                text = steps[fields] = (
+                    '    {\n      "kind": "step",\n      "device": %s,\n'
+                    '      "from": %s,\n      "letter": %s,\n      "to": %s\n    }'
+                    % tuple(map(q.__getitem__, fields))
+                )
+            events.append(text)
         elif isinstance(event, Activate):
             events.append(
                 '    {\n      "kind": "activate",\n      "device": %s\n    }'
@@ -261,11 +266,18 @@ def _trace_lines(trace: ControlTrace, alphabet: Iterable[Symbol]) -> list[str]:
         f"input: {format_word(trace.input, alphabet)}",
         f"overall: {'accept' if trace.overall else 'reject'}",
     ]
+    steps: dict[tuple, str] = {}  # a run repeats few steps
     for event in trace.events:
-        if isinstance(event, Activate):
+        if isinstance(event, Step):
+            fields = event[:]  # a plain tuple, hashed and compared in C
+            text = steps.get(fields)
+            if text is None:
+                text = steps[fields] = (
+                    f"step {event.source} -{event.symbol}-> {event.target}"
+                )
+            lines.append(text)
+        elif isinstance(event, Activate):
             lines.append(f"activate {label(event.device)} at {location(event.device)}")
-        elif isinstance(event, Step):
-            lines.append(f"step {event.source} -{event.symbol}-> {event.target}")
         elif isinstance(event, Handoff):
             lines.append(
                 f"handoff {label(event.source_device)} -> {label(event.target_device)}"

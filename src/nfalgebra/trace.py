@@ -16,7 +16,10 @@ over the right one; ``parallel_verdicts`` runs each operand on the word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import FrozenInstanceError, dataclass, field
+from itertools import compress, count, islice, repeat
+from operator import ne
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -28,6 +31,7 @@ from .algebra import (
     leaf_devices,
 )
 from .automaton import (
+    EPSILON,
     Automaton,
     StateId,
     Symbol,
@@ -52,37 +56,74 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Activate:
+class _Event:
+    """Value semantics of a frozen dataclass on a named tuple.
+
+    An event is equal only to an event of its own class with equal fields,
+    never to a plain tuple or to another kind of event; it hashes as its
+    field tuple, does not order, and rejects assignment as a frozen
+    dataclass does.  Being a tuple, an event can be built by
+    ``tuple.__new__`` with no Python frame, which a trace does per letter.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = tuple.__hash__
+
+    def __lt__(self, other: object) -> bool:
+        raise TypeError(f"{type(self).__name__} events are not ordered")
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Activate(_Event, namedtuple("Activate", "device")):
     """Control enters a device for the first time."""
 
+    __slots__ = ()
     device: str
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(_Event, namedtuple("Step", "device source symbol target")):
     """One transition taken inside a device."""
 
+    __slots__ = ()
     device: str
     source: StateId
     symbol: Symbol
     target: StateId
 
 
-@dataclass(frozen=True)
-class Handoff:
+class Handoff(
+    _Event, namedtuple("Handoff", "source_device target_device source target")
+):
     """An empty-string move whose endpoints belong to different devices."""
 
+    __slots__ = ()
     source_device: str
     target_device: str
     source: StateId
     target: StateId
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Event, namedtuple("Verdict", "device accepted")):
     """A device's accept/reject outcome."""
 
+    __slots__ = ()
     device: str
     accepted: bool
 
@@ -136,14 +177,55 @@ def _trace_composite(
     ``composite = elaborate(expr, env)``."""
     input_word = tuple(input_word)
     leaves = leaf_devices(expr)
-    owners: dict[tuple[str, ...], str] = {}
+    run = witness(composite, input_word)
+    if run is None:
+        alphabet = composite.alphabet
+        verdicts = [
+            Verdict(path, accepts(pad_alphabet(env[name], alphabet), input_word))
+            for path, name in leaves
+        ]
+        return ControlTrace(input_word, False, verdicts, dict(leaves))
+    states, symbols = run.states, run.symbols
+    owned = list(map(_owners(expr, composite.states).__getitem__, states))
+    # Every move is built as a Step by C-level iteration alone, since
+    # ``tuple.__new__`` runs no Python frame.  Python code visits only the
+    # moves that change device, a few per run: an empty-string one becomes
+    # a Handoff, and a device's first entry adds an Activate.
+    new = tuple.__new__
+    steps = map(new, repeat(Step), zip(owned, states, symbols, islice(states, 1, None)))
+    events: list[TraceEvent] = [new(Activate, (owned[0],))]
+    active = {owned[0]}
+    done = 0
+    for index in compress(count(), map(ne, owned, islice(owned, 1, None))):
+        events += islice(steps, index - done)
+        step = next(steps)
+        done = index + 1
+        source_device, target_device = owned[index], owned[done]
+        if symbols[index] is EPSILON:
+            step = new(
+                Handoff, (source_device, target_device, states[index], states[done])
+            )
+        events.append(step)
+        if target_device not in active:
+            events.append(new(Activate, (target_device,)))
+            active.add(target_device)
+    events += steps
+    events.append(new(Verdict, (owned[-1], True)))
+    return ControlTrace(input_word, True, events, dict(leaves))
 
-    def owner(state_id: StateId) -> str:
-        # Longest expression-position prefix of the namespace, found by
-        # walking down the tree; any deeper segments are the device's own
-        # internal structure.  Each namespace is resolved once per trace.
+
+def _owners(expr: CompositionExpr, states: Iterable[StateId]) -> dict[StateId, str]:
+    """The path of the expression leaf that owns each state.
+
+    A state's owner is the longest expression-position prefix of its
+    namespace, found by walking down the tree; any deeper segments are the
+    device's own internal structure.  Each namespace is walked once.
+    """
+    by_namespace: dict[tuple[str, ...], str] = {}
+    owners = {}
+    for state_id in states:
         namespace = state_id.namespace
-        found = owners.get(namespace)
+        found = by_namespace.get(namespace)
         if found is None:
             node, depth = expr, 0
             for segment in namespace:
@@ -151,35 +233,9 @@ def _trace_composite(
                     break
                 node = node.left if segment == "L" else node.right
                 depth += 1
-            found = owners[namespace] = ".".join(namespace[:depth])
-        return found
-
-    events: list[TraceEvent] = []
-    run = witness(composite, input_word)
-    if run is None:
-        for path, name in leaves:
-            device = pad_alphabet(env[name], composite.alphabet)
-            events.append(Verdict(path, accepts(device, input_word)))
-        overall = False
-    else:
-        owned = [owner(s) for s in run.states]
-        active: set[str] = set()
-        first = owned[0]
-        events.append(Activate(first))
-        active.add(first)
-        for index, symbol in enumerate(run.symbols):
-            source, target = run.states[index], run.states[index + 1]
-            source_device, target_device = owned[index], owned[index + 1]
-            if symbol.is_epsilon and source_device != target_device:
-                events.append(Handoff(source_device, target_device, source, target))
-            else:
-                events.append(Step(source_device, source, symbol, target))
-            if target_device not in active:
-                events.append(Activate(target_device))
-                active.add(target_device)
-        events.append(Verdict(owned[-1], True))
-        overall = True
-    return ControlTrace(input_word, overall, tuple(events), dict(leaves))
+            found = by_namespace[namespace] = ".".join(namespace[:depth])
+        owners[state_id] = found
+    return owners
 
 
 def splits(

@@ -19,6 +19,11 @@ product of two ``Dfa`` tables and its least-word search.
 ``reference_parse_automaton`` is the automaton-file parser that tracked a
 column for every token as it read it, where ``parse_automaton`` finds
 columns only for the lines its diagnostics name.
+``Activate``, ``Step``, ``Handoff`` and ``Verdict`` are the frozen
+dataclass events that the package's named-tuple events replaced, and
+``reference_control_trace`` builds a trace of them the way the package
+once did: it walks each state's namespace down the expression tree, on
+``reference_elaborate`` and ``reference_witness``.
 ``trace_payload`` is the ``trace --json`` document as a value:
 ``json.dumps(trace_payload(...), indent=2)`` is the text the CLI's
 template writer must produce.
@@ -29,12 +34,12 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from nfalgebra import (
     EPSILON,
     EPSILON_TOKEN,
-    Activate,
     Automaton,
     CompositionExpr,
     Concat,
@@ -44,22 +49,20 @@ from nfalgebra import (
     Dfa,
     EnumerationBoundError,
     EquivalenceVerdict,
-    Handoff,
     InvalidDeviceError,
     ParseDiagnostic,
     ParseError,
     RunWitness,
     StateId,
-    Step,
     SubsetState,
     Symbol,
     UnboundDeviceError,
     UnknownSymbolError,
-    Verdict,
     Word,
     concat,
     format_word,
     instantiate,
+    leaf_devices,
     pad_alphabet,
     parallel,
     state,
@@ -568,12 +571,102 @@ def reference_parse_automaton(text: str) -> tuple[str, Automaton]:
     return name, automaton
 
 
+@dataclass(frozen=True)
+class Activate:
+    """Control enters a device for the first time."""
+
+    device: str
+
+
+@dataclass(frozen=True)
+class Step:
+    """One transition taken inside a device."""
+
+    device: str
+    source: StateId
+    symbol: Symbol
+    target: StateId
+
+
+@dataclass(frozen=True)
+class Handoff:
+    """An empty-string move whose endpoints belong to different devices."""
+
+    source_device: str
+    target_device: str
+    source: StateId
+    target: StateId
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """A device's accept/reject outcome."""
+
+    device: str
+    accepted: bool
+
+
+def reference_control_trace(
+    expr: CompositionExpr, env: DeviceEnvironment, input_word: Word
+) -> ControlTrace:
+    """An accepted word replays ``reference_witness`` on
+    ``reference_elaborate``, resolving each run state's owner as it goes;
+    a rejected one gets every leaf's ``oracle_accepts`` verdict."""
+    composite = reference_elaborate(expr, env)
+    leaves = leaf_devices(expr)
+    owners: dict[tuple[str, ...], str] = {}
+
+    def owner(state_id: StateId) -> str:
+        # Longest expression-position prefix of the namespace, found by
+        # walking down the tree; any deeper segments are the device's own
+        # internal structure.  Each namespace is resolved once per trace.
+        namespace = state_id.namespace
+        found = owners.get(namespace)
+        if found is None:
+            node, depth = expr, 0
+            for segment in namespace:
+                if isinstance(node, Device) or segment not in ("L", "R"):
+                    break
+                node = node.left if segment == "L" else node.right
+                depth += 1
+            found = owners[namespace] = ".".join(namespace[:depth])
+        return found
+
+    events: list = []
+    run = reference_witness(composite, input_word)
+    if run is None:
+        for path, name in leaves:
+            device = pad_alphabet(env[name], composite.alphabet)
+            events.append(Verdict(path, oracle_accepts(device, input_word)))
+        return ControlTrace(input_word, False, tuple(events), dict(leaves))
+    owned = [owner(s) for s in run.states]
+    active: set[str] = set()
+    first = owned[0]
+    events.append(Activate(first))
+    active.add(first)
+    for index, symbol in enumerate(run.symbols):
+        source, target = run.states[index], run.states[index + 1]
+        source_device, target_device = owned[index], owned[index + 1]
+        if symbol.is_epsilon and source_device != target_device:
+            events.append(Handoff(source_device, target_device, source, target))
+        else:
+            events.append(Step(source_device, source, symbol, target))
+        if target_device not in active:
+            events.append(Activate(target_device))
+            active.add(target_device)
+    events.append(Verdict(owned[-1], True))
+    return ControlTrace(input_word, True, tuple(events), dict(leaves))
+
+
 def trace_payload(trace: ControlTrace, alphabet: Iterable[Symbol]) -> dict:
+    """Dispatches on each event's class name, so the package's events and
+    the reference dataclasses above spell the same document."""
     events: list[dict] = []
     for event in trace.events:
-        if isinstance(event, Activate):
+        kind = type(event).__name__
+        if kind == "Activate":
             events.append({"kind": "activate", "device": event.device})
-        elif isinstance(event, Step):
+        elif kind == "Step":
             events.append(
                 {
                     "kind": "step",
@@ -583,7 +676,7 @@ def trace_payload(trace: ControlTrace, alphabet: Iterable[Symbol]) -> dict:
                     "to": str(event.target),
                 }
             )
-        elif isinstance(event, Handoff):
+        elif kind == "Handoff":
             events.append(
                 {
                     "kind": "handoff",
@@ -594,7 +687,7 @@ def trace_payload(trace: ControlTrace, alphabet: Iterable[Symbol]) -> dict:
                     "to": str(event.target),
                 }
             )
-        elif isinstance(event, Verdict):
+        elif kind == "Verdict":
             events.append(
                 {"kind": "verdict", "device": event.device, "accepted": event.accepted}
             )

@@ -1,8 +1,13 @@
 """Control-flow traces and the operand-level oracles."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfalgebra import (
     EPSILON,
@@ -28,7 +33,130 @@ from nfalgebra import (
     state,
     word,
 )
+from nfalgebra import trace as trace_module
 from nfalgebra.properties import all_words, random_automaton
+
+from . import oracles
+from .oracles import reference_control_trace, trace_payload
+from .strategies import expressions, leaf_devices as leaf_automata, words
+
+# Fields for one value of each event class.
+EVENT_FIELDS = {
+    "Activate": ("L",),
+    "Step": ("L", state("L.p0"), letter("a"), state("L.p1")),
+    "Handoff": ("L", "R", state("L.p3"), state("R.q0")),
+    "Verdict": ("R", True),
+}
+
+
+def raised(action):
+    """The class and message of what ``action()`` raises, or None."""
+    try:
+        action()
+    except Exception as err:  # noqa: BLE001 - the outcome is the point
+        return type(err), str(err)
+    return None
+
+
+def observed(module, name):
+    """What one event class of ``module`` does as a value."""
+    cls = getattr(module, name)
+    fields = EVENT_FIELDS[name]
+    event = cls(*fields)
+    twin = cls(**dict(zip(cls.__match_args__, fields)))
+    plain = tuple(fields)
+    # Another event class with the same fields, where one has as many.
+    others = [
+        getattr(module, other)(*fields)
+        for other, values in EVENT_FIELDS.items()
+        if other != name and len(values) == len(fields)
+    ]
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    copies = [pickle.loads(pickle.dumps(event, p)) for p in protocols]
+    copies += [copy.copy(event), copy.deepcopy(event)]
+    return {
+        "repr": repr(event),
+        "match_args": cls.__match_args__,
+        "twin": (event == twin, event != twin, hash(event) == hash(twin)),
+        "hash": hash(event),
+        "plain": (event == plain, plain == event, event != plain, plain != event),
+        "others": [(event == o, o == event, event != o, o != event) for o in others],
+        "setattr": raised(lambda: setattr(event, cls.__match_args__[0], "x")),
+        "delattr": raised(lambda: delattr(event, cls.__match_args__[0])),
+        "order": [
+            raised(lambda: event < twin)[0],
+            raised(lambda: event >= twin)[0],
+            raised(lambda: plain < event)[0],
+            raised(lambda: sorted([event, twin]))[0],
+        ],
+        "copies": [(type(c) is cls, c == event, hash(c), repr(c)) for c in copies],
+    }
+
+
+class TestEventValueSemantics:
+    """Each event is the value its frozen dataclass in ``oracles`` was."""
+
+    @pytest.mark.parametrize("name", sorted(EVENT_FIELDS))
+    def test_behaves_as_the_reference_dataclass(self, name):
+        assert dataclasses.is_dataclass(getattr(oracles, name))
+        assert observed(trace_module, name) == observed(oracles, name)
+
+    @pytest.mark.parametrize("name", sorted(EVENT_FIELDS))
+    def test_values(self, name):
+        outcome = observed(trace_module, name)
+        assert outcome["twin"] == (True, False, True)
+        assert outcome["hash"] == hash(EVENT_FIELDS[name])
+        assert outcome["plain"] == (False, False, True, True)
+        assert all(o == (False, False, True, True) for o in outcome["others"])
+        assert outcome["setattr"][0] is dataclasses.FrozenInstanceError
+        assert outcome["delattr"][0] is dataclasses.FrozenInstanceError
+        assert outcome["order"] == [TypeError] * 4
+
+    @pytest.mark.parametrize("name", sorted(EVENT_FIELDS))
+    def test_never_equal_to_the_reference(self, name):
+        fields = EVENT_FIELDS[name]
+        event = getattr(trace_module, name)(*fields)
+        reference = getattr(oracles, name)(*fields)
+        assert event != reference and reference != event
+        assert not event == reference and not reference == event
+
+
+def spelled(trace):
+    """A trace as plain values: its events as (class name, *fields)."""
+    events = [
+        (type(e).__name__, *(getattr(e, f) for f in e.__match_args__))
+        for e in trace.events
+    ]
+    return trace.input, trace.overall, dict(trace.devices), events
+
+
+class TestReferenceTrace:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_reference_trace(self, n1, n2, data):
+        env = {"N1": n1, "N2": n2}
+        for name in ("G0", "G1"):
+            env[name] = data.draw(leaf_automata(), label=name)
+        expr = data.draw(expressions(sorted(env), max_leaves=5), label="expr")
+        composite = elaborate(expr, env)
+        members = enumerate_language(composite, 4)
+        if members and data.draw(st.booleans(), label="member"):
+            input_word = data.draw(st.sampled_from(members), label="word")
+        else:
+            input_word = data.draw(words(), label="word")
+        got = control_trace(expr, env, input_word)
+        want = reference_control_trace(expr, env, input_word)
+        assert spelled(got) == spelled(want)
+        assert trace_payload(got, composite.alphabet) == trace_payload(
+            want, composite.alphabet
+        )
+
+    def test_accepted_and_rejected_words(self, env):
+        expr = Parallel(Concat(Device("N1"), Device("N2")), Device("N2"))
+        for text in ("aabaaaab", "baaa", "a", "ab", "bb", ""):
+            input_word = word(text)
+            want = reference_control_trace(expr, env, input_word)
+            assert spelled(control_trace(expr, env, input_word)) == spelled(want)
 
 
 class TestControlTrace:
