@@ -64,6 +64,22 @@ class InvalidDeviceError(ValueError):
     """A bound device fails validation and cannot be composed."""
 
 
+# Characters of the expression grammar; a device name holding one could
+# never be referred to.
+_EXPRESSION_MARKS = ";|()"
+
+
+def check_device_name(name: str) -> None:
+    """Reject a name an expression could not refer to as one leaf."""
+    if not name or any(ch.isspace() for ch in name):
+        raise ValueError("device names must be nonempty and whitespace-free")
+    if any(ch in _EXPRESSION_MARKS for ch in name):
+        raise ValueError(
+            f"device name {name!r} contains one of {_EXPRESSION_MARKS!r}, "
+            "which expressions cannot refer to"
+        )
+
+
 @dataclass(frozen=True)
 class Device:
     """Leaf of an expression: a reference to a named automaton."""
@@ -71,8 +87,7 @@ class Device:
     name: str
 
     def __post_init__(self) -> None:
-        if not self.name or any(ch.isspace() for ch in self.name):
-            raise ValueError("device names must be nonempty and whitespace-free")
+        check_device_name(self.name)
 
 
 @dataclass(frozen=True)

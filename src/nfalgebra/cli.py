@@ -6,8 +6,10 @@ comparison), ``compose`` / ``dfa`` (write canonical files), ``dot``
 (graph export), and ``props`` (the seeded composition-law suite).
 
 Exit codes: 0 for accept / equivalent / suite pass / success, 1 for
-reject / inequivalent / suite fail, 2 for usage, parse, or validation
-errors.  Results go to stdout, diagnostics to stderr.
+reject / inequivalent / suite fail, 2 for usage errors and every failure,
+out of memory included.  Results go to stdout, diagnostics to stderr: a
+parse problem as ``LINE:COL: code: message``, prefixed with ``FILE:`` when
+a device file is at fault, and any other failure as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .algebra import elaborate
+from .algebra import CompositionExpr, elaborate
 from .automaton import Automaton, Symbol, accepts
 from .textio import (
     ParseError,
@@ -31,12 +33,14 @@ from .textio import (
 )
 
 if TYPE_CHECKING:
-    from .trace import ControlTrace
+    from .trace import ControlTrace, TraceEvent
 
 # Each handler imports what only it runs (analysis, trace, the property
 # suite, json, textwrap), so a call loads only its own subcommand's code.
 
-__all__ = ["build_parser", "main", "run_cli"]
+# The package exports ``run_cli``; ``main`` is the console script's entry
+# point.
+__all__ = ["run_cli"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,7 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_devices(p: argparse.ArgumentParser) -> None:
+    def expression_command(
+        name: str, handler: Callable[[argparse.Namespace], int], summary: str
+    ) -> argparse.ArgumentParser:
+        # A subcommand that elaborates an expression over ``-d`` files.
+        p = sub.add_parser(name, help=summary)
         p.add_argument(
             "-d",
             "--device",
@@ -57,51 +65,46 @@ def build_parser() -> argparse.ArgumentParser:
             default=[],
             help="automaton file(s); the name line inside binds the device",
         )
+        p.add_argument("-e", "--expr", required=True, help="composition expression")
+        p.set_defaults(handler=handler)
+        return p
 
     p = sub.add_parser("check", help="validate automaton files")
     p.add_argument("files", metavar="FILE", nargs="+")
     p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("accept", help="elaborate an expression and run an input")
-    with_devices(p)
-    p.add_argument("-e", "--expr", required=True, help="composition expression")
+    p = expression_command(
+        "accept", _cmd_accept, "elaborate an expression and run an input"
+    )
     p.add_argument("-i", "--input", required=True, help="input word")
-    p.set_defaults(handler=_cmd_accept)
 
-    p = sub.add_parser("trace", help="show the control-flow trace for an input")
-    with_devices(p)
-    p.add_argument("-e", "--expr", required=True)
+    p = expression_command(
+        "trace", _cmd_trace, "show the control-flow trace for an input"
+    )
     p.add_argument("-i", "--input", required=True)
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(handler=_cmd_trace)
 
-    p = sub.add_parser("equiv", help="compare the languages of two expressions")
-    with_devices(p)
-    p.add_argument("-e", "--expr", required=True)
+    p = expression_command(
+        "equiv", _cmd_equiv, "compare the languages of two expressions"
+    )
     p.add_argument("-e2", "--expr2", dest="expr2", required=True)
-    p.set_defaults(handler=_cmd_equiv)
 
-    p = sub.add_parser("compose", help="write the elaborated composite to a file")
-    with_devices(p)
-    p.add_argument("-e", "--expr", required=True)
+    p = expression_command(
+        "compose", _cmd_compose, "write the elaborated composite to a file"
+    )
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(handler=_cmd_compose)
 
-    p = sub.add_parser("dfa", help="write the determinized composite to a file")
-    with_devices(p)
-    p.add_argument("-e", "--expr", required=True)
+    p = expression_command(
+        "dfa", _cmd_dfa, "write the determinized composite to a file"
+    )
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(handler=_cmd_dfa)
 
-    p = sub.add_parser("dot", help="emit a DOT graph for the composite")
-    with_devices(p)
-    p.add_argument("-e", "--expr", required=True)
+    p = expression_command("dot", _cmd_dot, "emit a DOT graph for the composite")
     p.add_argument(
         "--group",
         action="store_true",
         help="box states by their top-level namespace",
     )
-    p.set_defaults(handler=_cmd_dot)
 
     p = sub.add_parser("props", help="run the seeded composition-law suite")
     p.add_argument("--seed", type=int, required=True)
@@ -120,12 +123,8 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return stop.code if isinstance(stop.code, int) else 2
     try:
         return args.handler(args)
-    except ParseError as err:
-        for diagnostic in err.diagnostics:
-            print(diagnostic.render(), file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except Exception as err:  # exit 1 would read as a verdict
+        _report(err)
         return 2
 
 
@@ -133,37 +132,60 @@ def main() -> None:
     raise SystemExit(run_cli(sys.argv[1:]))
 
 
-def _load_devices(paths: Sequence[str]) -> dict[str, Automaton]:
-    # All referenced files must exist and parse before any computation runs.
+class _DeviceFileError(Exception):
+    """``(path, cause)``: a device file that could not be read or parsed."""
+
+
+def _report(err: Exception) -> None:
+    """Write a failure to stderr: a parse's diagnostics one a line, anything
+    else as one ``error:`` line that names the exception's type unless it
+    is a ``ValueError`` or ``OSError``.  A device file's lines name it."""
+    prefix = ""
+    if isinstance(err, _DeviceFileError):
+        path, err = err.args
+        prefix = f"{path}:"
+    if isinstance(err, ParseError):
+        for diagnostic in err.diagnostics:
+            print(prefix + diagnostic.render(), file=sys.stderr)
+        return
+    text = str(err)
+    if not isinstance(err, (ValueError, OSError)):
+        text = f"{type(err).__name__}: {text}" if text else type(err).__name__
+    if prefix:
+        text = f"{prefix} {text}"
+    print(f"error: {text}", file=sys.stderr)
+
+
+def _read_device(path: str) -> tuple[str, Automaton]:
+    """A device file's name and automaton; the only way a file is read."""
+    try:
+        return parse_automaton(Path(path).read_text("utf-8"))
+    except (OSError, ValueError) as err:
+        raise _DeviceFileError(path, err) from None
+
+
+def _elaborated(
+    args: argparse.Namespace,
+) -> tuple[CompositionExpr, dict[str, Automaton], Automaton]:
+    """The ``-e`` expression, the ``-d`` devices, and their composite.  All
+    the files must exist and parse before any computation runs."""
     env: dict[str, Automaton] = {}
-    for path_text in paths:
-        path = Path(path_text)
-        text = path.read_text("utf-8")
-        try:
-            name, automaton = parse_automaton(text)
-        except ParseError as err:
-            raise ValueError(f"{path}: {err}") from None
+    for path in args.devices:
+        name, automaton = _read_device(path)
         if name in env:
-            raise ValueError(f"{path}: duplicate device name {name!r}")
+            raise _DeviceFileError(path, ValueError(f"duplicate device name {name!r}"))
         env[name] = automaton
-    return env
+    expr = parse_expression(args.expr)
+    return expr, env, elaborate(expr, env)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     status = 0
-    for path_text in args.files:
-        path = Path(path_text)
+    for path in args.files:
         try:
-            text = path.read_text("utf-8")
-        except OSError as err:
-            print(f"{path}: error: {err}", file=sys.stderr)
-            status = 2
-            continue
-        try:
-            name, automaton = parse_automaton(text)
-        except ParseError as err:
-            for diagnostic in err.diagnostics:
-                print(f"{path}:{diagnostic.render()}", file=sys.stderr)
+            name, automaton = _read_device(path)
+        except _DeviceFileError as err:  # report it and check the next file
+            _report(err)
             status = 2
             continue
         # A parse resolves every endpoint and letter, so what parses is valid.
@@ -176,13 +198,29 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_accept(args: argparse.Namespace) -> int:
-    env = _load_devices(args.devices)
-    expr = parse_expression(args.expr)
-    composite = elaborate(expr, env)
+    _, _, composite = _elaborated(args)
     input_word = parse_input(args.input, composite.alphabet)
     verdict = accepts(composite, input_word)
     print("accept" if verdict else "reject")
     return 0 if verdict else 1
+
+
+def _event_texts(
+    events: Iterable[TraceEvent], formats: dict[type, Callable[..., str]]
+) -> list[str]:
+    """Each event's text, from the formatter for its class.  A run repeats
+    few distinct events, so each is formatted once: one memo per class,
+    keyed on the event's fields as a plain tuple, hashed and compared in C."""
+    memos: dict[type, dict[tuple, str]] = {kind: {} for kind in formats}
+    texts = []
+    for event in events:
+        memo = memos[event.__class__]
+        fields = event[:]
+        text = memo.get(fields)
+        if text is None:
+            text = memo[fields] = formats[event.__class__](event)
+        texts.append(text)
+    return texts
 
 
 def _trace_json(trace: ControlTrace, alphabet: Iterable[Symbol]) -> str:
@@ -195,42 +233,32 @@ def _trace_json(trace: ControlTrace, alphabet: Iterable[Symbol]) -> str:
     from .trace import Activate, Handoff, Step, Verdict
 
     q = _Spellings(encode_basestring_ascii)  # a run repeats few names
-    steps: dict[tuple, str] = {}  # and few steps, so each is written once
-    events = []
-    for event in trace.events:
-        if isinstance(event, Step):
-            fields = event[:]  # a plain tuple, hashed and compared in C
-            text = steps.get(fields)
-            if text is None:
-                text = steps[fields] = (
-                    '    {\n      "kind": "step",\n      "device": %s,\n'
-                    '      "from": %s,\n      "letter": %s,\n      "to": %s\n    }'
-                    % tuple(map(q.__getitem__, fields))
-                )
-            events.append(text)
-        elif isinstance(event, Activate):
-            events.append(
+    events = _event_texts(
+        trace.events,
+        {
+            Step: lambda e: (
+                '    {\n      "kind": "step",\n      "device": %s,\n'
+                '      "from": %s,\n      "letter": %s,\n      "to": %s\n    }'
+                % tuple(map(q.__getitem__, e))
+            ),
+            Activate: lambda e: (
                 '    {\n      "kind": "activate",\n      "device": %s\n    }'
-                % q[event.device]
-            )
-        elif isinstance(event, Handoff):
-            events.append(
+                % q[e.device]
+            ),
+            # The fields in template order: device, to_device, from, to.
+            Handoff: lambda e: (
                 '    {\n      "kind": "handoff",\n      "device": %s,\n'
                 '      "to_device": %s,\n      "from": %s,\n'
                 '      "letter": "eps",\n      "to": %s\n    }'
-                % (
-                    q[event.source_device],
-                    q[event.target_device],
-                    q[event.source],
-                    q[event.target],
-                )
-            )
-        elif isinstance(event, Verdict):
-            events.append(
+                % tuple(map(q.__getitem__, e))
+            ),
+            Verdict: lambda e: (
                 '    {\n      "kind": "verdict",\n      "device": %s,\n'
                 '      "accepted": %s\n    }'
-                % (q[event.device], "true" if event.accepted else "false")
-            )
+                % (q[e.device], "true" if e.accepted else "false")
+            ),
+        },
+    )
     devices = [
         f"    {q[path]}: {q[name]}" for path, name in sorted(trace.devices.items())
     ]
@@ -259,42 +287,32 @@ def _trace_lines(trace: ControlTrace, alphabet: Iterable[Symbol]) -> list[str]:
     def label(path: str) -> str:
         return trace.devices.get(path, path or "root")
 
-    def location(path: str) -> str:
-        return path or "root"
-
-    lines = [
+    return [
         f"input: {format_word(trace.input, alphabet)}",
         f"overall: {'accept' if trace.overall else 'reject'}",
+        *_event_texts(
+            trace.events,
+            {
+                Step: lambda e: f"step {e.source} -{e.symbol}-> {e.target}",
+                Activate: lambda e: (
+                    f"activate {label(e.device)} at {e.device or 'root'}"
+                ),
+                Handoff: lambda e: (
+                    f"handoff {label(e.source_device)} -> {label(e.target_device)}"
+                    f" via {e.source} -eps-> {e.target}"
+                ),
+                Verdict: lambda e: (
+                    f"verdict {label(e.device)}: {'accept' if e.accepted else 'reject'}"
+                ),
+            },
+        ),
     ]
-    steps: dict[tuple, str] = {}  # a run repeats few steps
-    for event in trace.events:
-        if isinstance(event, Step):
-            fields = event[:]  # a plain tuple, hashed and compared in C
-            text = steps.get(fields)
-            if text is None:
-                text = steps[fields] = (
-                    f"step {event.source} -{event.symbol}-> {event.target}"
-                )
-            lines.append(text)
-        elif isinstance(event, Activate):
-            lines.append(f"activate {label(event.device)} at {location(event.device)}")
-        elif isinstance(event, Handoff):
-            lines.append(
-                f"handoff {label(event.source_device)} -> {label(event.target_device)}"
-                f" via {event.source} -eps-> {event.target}"
-            )
-        elif isinstance(event, Verdict):
-            outcome = "accept" if event.accepted else "reject"
-            lines.append(f"verdict {label(event.device)}: {outcome}")
-    return lines
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .trace import _trace_composite
 
-    env = _load_devices(args.devices)
-    expr = parse_expression(args.expr)
-    composite = elaborate(expr, env)
+    expr, env, composite = _elaborated(args)
     input_word = parse_input(args.input, composite.alphabet)
     trace = _trace_composite(expr, env, composite, input_word)
     if args.json:
@@ -308,8 +326,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_equiv(args: argparse.Namespace) -> int:
     from .analysis import equivalent
 
-    env = _load_devices(args.devices)
-    first = elaborate(parse_expression(args.expr), env)
+    _, env, first = _elaborated(args)
     second = elaborate(parse_expression(args.expr2), env)
     verdict = equivalent(first, second)
     if verdict.equivalent:
@@ -321,8 +338,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
-    env = _load_devices(args.devices)
-    composite = elaborate(parse_expression(args.expr), env)
+    _, _, composite = _elaborated(args)
     Path(args.output).write_text(render_automaton(composite, "composite"), "utf-8")
     return 0
 
@@ -330,16 +346,14 @@ def _cmd_compose(args: argparse.Namespace) -> int:
 def _cmd_dfa(args: argparse.Namespace) -> int:
     from .analysis import determinize, dfa_to_automaton
 
-    env = _load_devices(args.devices)
-    composite = elaborate(parse_expression(args.expr), env)
+    _, _, composite = _elaborated(args)
     deterministic = dfa_to_automaton(determinize(composite))
     Path(args.output).write_text(render_automaton(deterministic, "dfa"), "utf-8")
     return 0
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
-    env = _load_devices(args.devices)
-    composite = elaborate(parse_expression(args.expr), env)
+    _, _, composite = _elaborated(args)
     sys.stdout.write(render_dot(composite, group_by_namespace=args.group))
     return 0
 

@@ -50,7 +50,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, NoReturn
 
-from .algebra import CompositionExpr, Concat, Device, Parallel
+from .algebra import CompositionExpr, Concat, Device, Parallel, check_device_name
 from .automaton import (
     EPSILON,
     EPSILON_TOKEN,
@@ -105,10 +105,6 @@ _NO_LINE: _Line = (0, "", [""])
 
 _SECTION_DIRECTIVES = ("alphabet", "states", "initial", "final")
 
-# Characters of the expression grammar; a device name holding one could
-# never be referred to.
-_EXPRESSION_MARKS = ";|()"
-
 
 def parse_automaton(text: str) -> tuple[str, Automaton]:
     """Parse one automaton file; returns its declared name and the value.
@@ -158,16 +154,13 @@ def parse_automaton(text: str) -> tuple[str, Automaton]:
         body_lines = content[1:]
         if len(first[2]) != 2:
             report(first, 0, "malformed-line", "name takes exactly one identifier")
-        elif any(ch in _EXPRESSION_MARKS for ch in first[2][1]):
-            report(
-                first,
-                1,
-                "bad-name",
-                f"device name {first[2][1]!r} contains one of "
-                f"{_EXPRESSION_MARKS!r}, which expressions cannot refer to",
-            )
         else:
-            name = first[2][1]
+            try:
+                check_device_name(first[2][1])
+            except ValueError as err:
+                report(first, 1, "bad-name", str(err))
+            else:
+                name = first[2][1]
     else:
         report(first, 0, "missing-name", "first content line must be 'name <ident>'")
 
@@ -275,11 +268,9 @@ def parse_automaton(text: str) -> tuple[str, Automaton]:
 
 def render_automaton(automaton: Automaton, name: str = "A") -> str:
     """Canonical text for an automaton: sorted, byte-stable, reparseable."""
-    if not name or any(ch.isspace() or ch in "#" + _EXPRESSION_MARKS for ch in name):
-        raise ValueError(
-            f"automaton names must be nonempty and free of whitespace, '#' and "
-            f"{_EXPRESSION_MARKS!r}, or they would not parse back"
-        )
+    check_device_name(name)
+    if "#" in name:
+        raise ValueError(f"device name {name!r} contains '#', the comment mark")
     lines = [
         f"name {name}",
         " ".join(["alphabet", *map(str, automaton.letters())]),

@@ -59,6 +59,16 @@ class TestCheck:
         assert code == 2
         assert "error" in err
 
+    def test_undecodable_file_is_named_and_the_next_file_checked(
+        self, capsys, tmp_path
+    ):
+        binary = tmp_path / "bin.nfa"
+        binary.write_bytes(b"\xff\n")
+        code, out, err = run(capsys, "check", str(binary), N1)
+        assert code == 2
+        assert err.startswith(f"error: {binary}: ") and err.count("\n") == 1
+        assert out == f"{N1}: ok (N1: 4 states, 7 transitions)\n"
+
 
 class TestAccept:
     def test_accepting_input(self, capsys):
@@ -110,10 +120,10 @@ class TestAccept:
         bad.write_text(body)
         status, out, err = run(capsys, "accept", "-d", str(bad), "-e", "T", "-i", "x")
         assert (status, out) == (2, "")
-        assert code in err
-        status, _, err = run(capsys, "check", str(bad))
-        assert status == 2
-        assert code in err
+        assert err.startswith(f"{bad}:") and code in err
+        # Every subcommand prints a file's diagnostics the same way.
+        status, _, check_err = run(capsys, "check", str(bad))
+        assert (status, check_err) == (2, err)
 
     def test_missing_device_file(self, capsys, tmp_path):
         code, _, err = run(
@@ -214,6 +224,36 @@ def test_trace_json_is_what_json_dumps_writes(control):
     alphabet = set(control.input)
     expected = json.dumps(trace_payload(control, alphabet), indent=2)
     assert cli._trace_json(control, alphabet) == expected
+
+
+class TestFailureExit:
+    """Every failure exits 2 with one stderr line, never 1, which reads as
+    a verdict, and never with a traceback."""
+
+    @pytest.mark.parametrize("kind", [MemoryError, RecursionError])
+    def test_in_process(self, capsys, monkeypatch, kind):
+        def fail(*args):
+            raise kind("limit reached")
+
+        monkeypatch.setattr(cli, "accepts", fail)
+        code, out, err = run(capsys, "accept", "-d", N1, "-e", "N1", "-i", "abaabaa")
+        assert (code, out, err) == (2, "", f"error: {kind.__name__}: limit reached\n")
+
+    @pytest.mark.parametrize("kind", [MemoryError, RecursionError])
+    def test_module_entry_point(self, tmp_path, kind):
+        # Python imports ``sitecustomize`` at start-up, before it runs -m.
+        (tmp_path / "sitecustomize.py").write_text(
+            "import nfalgebra.cli\n"
+            "def fail(*args):\n"
+            f"    raise {kind.__name__}()\n"
+            "nfalgebra.cli.accepts = fail\n"
+        )
+        done = run_python(
+            "-m", "nfalgebra", "accept", "-d", N1, "-e", "N1", "-i", "abaabaa",
+            path=[str(tmp_path)],
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: {kind.__name__}\n"
 
 
 class TestEquiv:
@@ -356,12 +396,13 @@ class TestDeepChain:
         assert out.count("\nhandoff ") == DEEP_LEAVES - 1
 
 
-def run_python(*argv):
-    """A fresh interpreter that imports this checkout's package."""
+def run_python(*argv, path=()):
+    """A fresh interpreter that imports this checkout's package, with the
+    directories in ``path`` ahead of it on the import path."""
     source = str(Path(nfalgebra.__file__).resolve().parent.parent)
     environment = dict(os.environ)
     environment["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [source, environment.get("PYTHONPATH")])
+        filter(None, [*path, source, environment.get("PYTHONPATH")])
     )
     return subprocess.run(
         [sys.executable, *argv],
@@ -428,6 +469,26 @@ class TestImportFootprint:
             "print(sorted(unused & sys.modules.keys()))",
         )
         assert (done.stdout, done.stderr) == ("accept\n0\n[]\n", "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", N1],
+            ["compose", "-d", N1, "-e", "N1", "-o", os.devnull],
+            ["dot", "-d", N1, "-e", "N1"],
+        ],
+        ids=["check", "compose", "dot"],
+    )
+    def test_other_light_subcommands_leave_the_rest_unloaded(self, argv):
+        done = run_python(
+            "-c",
+            "import sys\n"
+            "from nfalgebra.cli import run_cli\n"
+            f"code = run_cli({argv!r})\n"
+            "unused = {'nfalgebra.analysis', 'nfalgebra.trace', 'nfalgebra.properties', 'json'}\n"
+            "print(code, sorted(unused & sys.modules.keys()))",
+        )
+        assert (done.stdout.splitlines()[-1], done.stderr) == ("0 []", "")
 
 
 class TestUsage:
