@@ -24,12 +24,14 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .automaton import (
+    _EXPRESSION_MARKS,
     EPSILON,
     Automaton,
     InvalidAutomatonError,
     StateId,
     Symbol,
     _kernel,
+    check_name,
     check_segment,
     validate,
 )
@@ -64,20 +66,9 @@ class InvalidDeviceError(ValueError):
     """A bound device fails validation and cannot be composed."""
 
 
-# Characters of the expression grammar; a device name holding one could
-# never be referred to.
-_EXPRESSION_MARKS = ";|()"
-
-
 def check_device_name(name: str) -> None:
     """Reject a name an expression could not refer to as one leaf."""
-    if not name or any(ch.isspace() for ch in name):
-        raise ValueError("device names must be nonempty and whitespace-free")
-    if any(ch in _EXPRESSION_MARKS for ch in name):
-        raise ValueError(
-            f"device name {name!r} contains one of {_EXPRESSION_MARKS!r}, "
-            "which expressions cannot refer to"
-        )
+    check_name(name, "device name", (_EXPRESSION_MARKS,))
 
 
 @dataclass(frozen=True)
@@ -134,11 +125,16 @@ def instantiate(automaton: Automaton, segment: str) -> Automaton:
     )
 
 
-def _require_disjoint(left: Automaton, right: Automaton) -> None:
+def _joined_transitions(
+    left: Automaton, right: Automaton
+) -> dict[tuple[StateId, Symbol], frozenset[StateId]]:
+    """Both operands' transitions in one map, once their state sets are
+    known to be disjoint."""
     clash = left.states & right.states
     if clash:
         listed = ", ".join(str(s) for s in sorted(clash)[:5])
         raise StateClashError(f"operand state sets overlap: {listed}")
+    return {**left.transitions, **right.transitions}
 
 
 def concat(left: Automaton, right: Automaton) -> Automaton:
@@ -151,10 +147,7 @@ def concat(left: Automaton, right: Automaton) -> Automaton:
     right operand's finals, so a left operand with no finals yields an
     empty language.
     """
-    _require_disjoint(left, right)
-    transitions: dict[tuple[StateId, Symbol], frozenset[StateId]] = {}
-    transitions.update(left.transitions)
-    transitions.update(right.transitions)
+    transitions = _joined_transitions(left, right)
     for final in left.finals:
         key = (final, EPSILON)
         transitions[key] = transitions.get(key, frozenset()) | {right.initial}
@@ -175,16 +168,13 @@ def parallel(left: Automaton, right: Automaton) -> Automaton:
     and carries no letter moves of its own.  Finals are the union of the
     operands' finals.
     """
-    _require_disjoint(left, right)
+    transitions = _joined_transitions(left, right)
     taken = left.states | right.states
     root = StateId((), "r0")
     bump = 1
     while root in taken:
         root = StateId((), f"r0{bump}")
         bump += 1
-    transitions: dict[tuple[StateId, Symbol], frozenset[StateId]] = {}
-    transitions.update(left.transitions)
-    transitions.update(right.transitions)
     transitions[(root, EPSILON)] = frozenset({left.initial, right.initial})
     return Automaton(
         alphabet=left.alphabet | right.alphabet,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
+from functools import total_ordering
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -61,7 +62,49 @@ class InvalidAutomatonError(ValueError):
     """The operation requires an automaton that passes validation."""
 
 
-class _Interned:
+# The marks of the expression grammar; ``textio`` tokenizes expressions
+# at them.
+_EXPRESSION_MARKS = ";|()"
+# The characters a name may be barred from holding, each with its meaning
+# in the text formats: a name holding one could not be read back.
+_RESERVED = {
+    ".": "the namespace separator",
+    "#": "the comment mark",
+    ",": "the input-word separator",
+    _EXPRESSION_MARKS: "which expressions cannot refer to",
+}
+
+
+def check_name(text: str, kind: str, reserved: Iterable[str] = ()) -> None:
+    """Reject an empty name, one holding whitespace, or one holding a mark
+    of any ``reserved`` entry (keys of ``_RESERVED``); the error names the
+    ``kind`` of name."""
+    if not text:
+        raise ValueError(f"{kind} must be nonempty")
+    if text.split() != [text]:  # split() cuts at every ``str.isspace`` character
+        raise ValueError(f"{kind} {text!r} contains whitespace")
+    for marks in reserved:
+        for mark in marks:
+            if mark in text:
+                shown = repr(marks) if len(marks) == 1 else f"one of {marks!r}"
+                raise ValueError(
+                    f"{kind} {text!r} contains {shown}, {_RESERVED[marks]}"
+                )
+
+
+class _Frozen:
+    """Rejects assignment and deletion as a frozen dataclass does."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _Interned(_Frozen):
     """Base of the interned name values: immutable, pickled by constructor.
 
     Each subclass keeps one table from its constructor arguments to the one
@@ -72,12 +115,6 @@ class _Interned:
     """
 
     __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple[type, tuple]:
         # Unpickling and copying call the constructor, which re-interns.
@@ -102,22 +139,10 @@ class Symbol(_Interned):
         if found is not None:
             return found
         if token is not None:
-            if not token:
-                raise ValueError("letter tokens must be nonempty")
-            if any(ch.isspace() for ch in token):
-                raise ValueError(f"letter token {token!r} contains whitespace")
+            check_name(token, "letter token", ("#", ","))
             if token == EPSILON_TOKEN:
                 raise ValueError(
                     f"{EPSILON_TOKEN!r} is reserved for the empty-string symbol"
-                )
-            if "#" in token:
-                raise ValueError(
-                    f"letter token {token!r} contains '#', the comment mark"
-                )
-            if "," in token:
-                raise ValueError(
-                    f"letter token {token!r} contains ',', "
-                    "the input-word separator"
                 )
         made = object.__new__(cls)
         object.__setattr__(made, "token", token)
@@ -156,16 +181,10 @@ def word(text: str) -> Word:
 
 def check_segment(text: str, kind: str = "segment") -> None:
     """Reject names that would break the dotted-path spelling of states."""
-    if not text:
-        raise ValueError(f"{kind} must be nonempty")
-    if any(ch.isspace() for ch in text):
-        raise ValueError(f"{kind} {text!r} contains whitespace")
-    if "." in text:
-        raise ValueError(f"{kind} {text!r} contains '.', the namespace separator")
-    if "#" in text:
-        raise ValueError(f"{kind} {text!r} contains '#', the comment mark")
+    check_name(text, kind, (".", "#"))
 
 
+@total_ordering
 class StateId(_Interned):
     """A state name qualified by the namespace path of the device it lives in.
 
@@ -210,21 +229,6 @@ class StateId(_Interned):
         if other.__class__ is not StateId:
             return NotImplemented
         return self._key < other._key
-
-    def __le__(self, other: object) -> bool:
-        if other.__class__ is not StateId:
-            return NotImplemented
-        return self._key <= other._key
-
-    def __gt__(self, other: object) -> bool:
-        if other.__class__ is not StateId:
-            return NotImplemented
-        return self._key > other._key
-
-    def __ge__(self, other: object) -> bool:
-        if other.__class__ is not StateId:
-            return NotImplemented
-        return self._key >= other._key
 
     def __str__(self) -> str:
         return self._text

@@ -8,16 +8,16 @@ comparison), ``compose`` / ``dfa`` (write canonical files), ``dot``
 Exit codes: 0 for accept / equivalent / suite pass / success, 1 for
 reject / inequivalent / suite fail, 2 for usage errors and every failure,
 out of memory included.  Results go to stdout, diagnostics to stderr: a
-parse problem as ``LINE:COL: code: message``, prefixed with ``FILE:`` when
-a device file is at fault, and any other failure as one ``error:`` line.
+parse problem as ``LINE:COL: code: message``, prefixed with the device file
+or option (``-e:``, ``-e2:``, ``-i:``) at fault, and any other failure as
+one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence, TypeVar
 
 from .algebra import CompositionExpr, elaborate
 from .automaton import Automaton, Symbol, accepts
@@ -132,18 +132,32 @@ def main() -> None:
     raise SystemExit(run_cli(sys.argv[1:]))
 
 
-class _DeviceFileError(Exception):
-    """``(path, cause)``: a device file that could not be read or parsed."""
+class _SourceError(Exception):
+    """``(source, cause)``: an input that could not be read or parsed, a
+    device file or the text of an option (``-e``, ``-e2``, ``-i``)."""
+
+
+_T = TypeVar("_T")
+
+
+def _parsed(source: str, parse: Callable[..., _T], *args: Any) -> _T:
+    """``parse(*args)``, with a failure blamed on ``source``."""
+    try:
+        return parse(*args)
+    except (OSError, ValueError) as err:
+        raise _SourceError(source, err) from None
 
 
 def _report(err: Exception) -> None:
     """Write a failure to stderr: a parse's diagnostics one a line, anything
     else as one ``error:`` line that names the exception's type unless it
-    is a ``ValueError`` or ``OSError``.  A device file's lines name it."""
+    is a ``ValueError`` or ``OSError``.  Each line names the failing
+    source, if any."""
     prefix = ""
-    if isinstance(err, _DeviceFileError):
-        path, err = err.args
-        prefix = f"{path}:"
+    if isinstance(err, _SourceError):
+        source, err = err.args
+        # An empty path names nothing; open's message shows it as ''.
+        prefix = f"{source}:" if source else ""
     if isinstance(err, ParseError):
         for diagnostic in err.diagnostics:
             print(prefix + diagnostic.render(), file=sys.stderr)
@@ -157,11 +171,15 @@ def _report(err: Exception) -> None:
 
 
 def _read_device(path: str) -> tuple[str, Automaton]:
-    """A device file's name and automaton; the only way a file is read."""
-    try:
-        return parse_automaton(Path(path).read_text("utf-8"))
-    except (OSError, ValueError) as err:
-        raise _DeviceFileError(path, err) from None
+    """A device file's name and automaton; the only way a file is read.
+    Builtin ``open`` keeps an empty path empty (``Path("")`` is ``.``)."""
+    with open(path, encoding="utf-8") as file:
+        return parse_automaton(file.read())
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(text)
 
 
 def _elaborated(
@@ -171,11 +189,11 @@ def _elaborated(
     the files must exist and parse before any computation runs."""
     env: dict[str, Automaton] = {}
     for path in args.devices:
-        name, automaton = _read_device(path)
+        name, automaton = _parsed(path, _read_device, path)
         if name in env:
-            raise _DeviceFileError(path, ValueError(f"duplicate device name {name!r}"))
+            raise _SourceError(path, ValueError(f"duplicate device name {name!r}"))
         env[name] = automaton
-    expr = parse_expression(args.expr)
+    expr = _parsed("-e", parse_expression, args.expr)
     return expr, env, elaborate(expr, env)
 
 
@@ -183,8 +201,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     status = 0
     for path in args.files:
         try:
-            name, automaton = _read_device(path)
-        except _DeviceFileError as err:  # report it and check the next file
+            name, automaton = _parsed(path, _read_device, path)
+        except _SourceError as err:  # report it and check the next file
             _report(err)
             status = 2
             continue
@@ -199,7 +217,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_accept(args: argparse.Namespace) -> int:
     _, _, composite = _elaborated(args)
-    input_word = parse_input(args.input, composite.alphabet)
+    input_word = _parsed("-i", parse_input, args.input, composite.alphabet)
     verdict = accepts(composite, input_word)
     print("accept" if verdict else "reject")
     return 0 if verdict else 1
@@ -313,7 +331,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from .trace import _trace_composite
 
     expr, env, composite = _elaborated(args)
-    input_word = parse_input(args.input, composite.alphabet)
+    input_word = _parsed("-i", parse_input, args.input, composite.alphabet)
     trace = _trace_composite(expr, env, composite, input_word)
     if args.json:
         print(_trace_json(trace, composite.alphabet))
@@ -327,7 +345,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     from .analysis import equivalent
 
     _, env, first = _elaborated(args)
-    second = elaborate(parse_expression(args.expr2), env)
+    second = elaborate(_parsed("-e2", parse_expression, args.expr2), env)
     verdict = equivalent(first, second)
     if verdict.equivalent:
         print("equivalent")
@@ -339,7 +357,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 def _cmd_compose(args: argparse.Namespace) -> int:
     _, _, composite = _elaborated(args)
-    Path(args.output).write_text(render_automaton(composite, "composite"), "utf-8")
+    _write(args.output, render_automaton(composite, "composite"))
     return 0
 
 
@@ -348,7 +366,7 @@ def _cmd_dfa(args: argparse.Namespace) -> int:
 
     _, _, composite = _elaborated(args)
     deterministic = dfa_to_automaton(determinize(composite))
-    Path(args.output).write_text(render_automaton(deterministic, "dfa"), "utf-8")
+    _write(args.output, render_automaton(deterministic, "dfa"))
     return 0
 
 

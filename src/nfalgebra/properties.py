@@ -36,10 +36,11 @@ DEFAULT_LETTERS = (letter("a"), letter("b"))
 # Longest words the suite checks: each case enumerates 2^(max_len + 1) words.
 MAX_LEN = 10
 
-# The two composites of each case, over the operands bound as "left" and
-# "right".
-_SEQUENTIAL = Concat(Device("left"), Device("right"))
-_BRANCHING = Parallel(Device("left"), Device("right"))
+# Each law and its composite, over the operands bound as "left" and "right".
+_LAWS = (
+    ("concat", Concat(Device("left"), Device("right"))),
+    ("parallel", Parallel(Device("left"), Device("right"))),
+)
 
 
 def random_automaton(rng: random.Random, max_states: int = 4) -> Automaton:
@@ -148,40 +149,29 @@ def run_closure_suite(seed: int, cases: int, max_len: int = 6) -> SuiteResult:
         left = random_automaton(rng)
         right = random_automaton(rng)
         env = {"left": left, "right": right}
-        sequential = elaborate(_SEQUENTIAL, env)
-        branching = elaborate(_BRANCHING, env)
         left_language = set(enumerate_language(left, max_len, MAX_LEN))
         right_language = set(enumerate_language(right, max_len, MAX_LEN))
-        sequential_language = set(enumerate_language(sequential, max_len, MAX_LEN))
-        branching_language = set(enumerate_language(branching, max_len, MAX_LEN))
+        # Each law's oracle: the words its composite must accept.
+        oracles = {
+            "concat": {
+                w
+                for w in words
+                if any(
+                    w[:i] in left_language and w[i:] in right_language
+                    for i in range(len(w) + 1)
+                )
+            },
+            "parallel": left_language | right_language,
+        }
+        checks = [
+            (law, set(enumerate_language(elaborate(expr, env), max_len, MAX_LEN)))
+            for law, expr in _LAWS
+        ]
         for w in words:
-            split_verdict = any(
-                w[:i] in left_language and w[i:] in right_language
-                for i in range(len(w) + 1)
-            )
-            if (w in sequential_language) != split_verdict:
-                failures.append(
-                    LawFailure(
-                        case,
-                        "concat",
-                        w,
-                        w in sequential_language,
-                        split_verdict,
-                        left,
-                        right,
+            for law, language in checks:
+                verdict = w in language
+                if verdict != (w in oracles[law]):
+                    failures.append(
+                        LawFailure(case, law, w, verdict, not verdict, left, right)
                     )
-                )
-            union_verdict = w in left_language or w in right_language
-            if (w in branching_language) != union_verdict:
-                failures.append(
-                    LawFailure(
-                        case,
-                        "parallel",
-                        w,
-                        w in branching_language,
-                        union_verdict,
-                        left,
-                        right,
-                    )
-                )
     return SuiteResult(seed, cases, max_len, tuple(failures))

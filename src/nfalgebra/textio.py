@@ -48,10 +48,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, NoReturn
 
 from .algebra import CompositionExpr, Concat, Device, Parallel, check_device_name
 from .automaton import (
+    _EXPRESSION_MARKS,
     EPSILON,
     EPSILON_TOKEN,
     Automaton,
@@ -59,6 +61,7 @@ from .automaton import (
     Symbol,
     Word,
     _state_order,
+    check_name,
     state,
 )
 
@@ -268,9 +271,7 @@ def parse_automaton(text: str) -> tuple[str, Automaton]:
 
 def render_automaton(automaton: Automaton, name: str = "A") -> str:
     """Canonical text for an automaton: sorted, byte-stable, reparseable."""
-    check_device_name(name)
-    if "#" in name:
-        raise ValueError(f"device name {name!r} contains '#', the comment mark")
+    check_name(name, "device name", (_EXPRESSION_MARKS, "#"))
     lines = [
         f"name {name}",
         " ".join(["alphabet", *map(str, automaton.letters())]),
@@ -282,7 +283,8 @@ def render_automaton(automaton: Automaton, name: str = "A") -> str:
     return "\n".join(lines) + "\n"
 
 
-_EXPR_TOKEN = re.compile(r"[^()|;\s]+|[()|;]")
+# A device name, or one mark of the expression grammar.
+_EXPR_TOKEN = re.compile(r"[^{0}\s]+|[{0}]".format(re.escape(_EXPRESSION_MARKS)))
 
 
 def parse_expression(text: str) -> CompositionExpr:
@@ -449,42 +451,23 @@ def parse_input(text: str, alphabet: Iterable[Symbol]) -> Word:
     by_token = {str(s): s for s in frozenset(alphabet)}
     if text in ("", EPSILON_TOKEN):
         return ()
-    diagnostics: list[ParseDiagnostic] = []
-    out: list[Symbol] = []
     if "," not in text and _spelled_bare(by_token):
-        for index, ch in enumerate(text):
-            found = by_token.get(ch)
-            if found is None:
-                diagnostics.append(
-                    ParseDiagnostic(
-                        1,
-                        index + 1,
-                        "unknown-symbol",
-                        f"letter {ch!r} is not in the alphabet",
-                    )
-                )
-            else:
-                out.append(found)
+        tokens: Iterable[str] = text
+        columns: Iterable[int] = range(1, len(text) + 1)
     else:
-        column = 1
-        for part in text.split(","):
-            token = part.strip()
-            found = by_token.get(token)
-            if found is None:
-                diagnostics.append(
-                    ParseDiagnostic(
-                        1,
-                        column,
-                        "unknown-symbol",
-                        f"letter {token!r} is not in the alphabet",
-                    )
-                )
-            else:
-                out.append(found)
-            column += len(part) + 1
-    if diagnostics:
-        raise ParseError(diagnostics)
-    return tuple(out)
+        parts = text.split(",")
+        tokens = list(map(str.strip, parts))
+        columns = accumulate((len(part) + 1 for part in parts), initial=1)
+    try:
+        return tuple(map(by_token.__getitem__, tokens))
+    except KeyError:
+        raise ParseError(
+            ParseDiagnostic(
+                1, column, "unknown-symbol", f"letter {token!r} is not in the alphabet"
+            )
+            for token, column in zip(tokens, columns)
+            if token not in by_token
+        ) from None
 
 
 def format_word(input_word: Word, alphabet: Iterable[Symbol] = ()) -> str:

@@ -17,7 +17,7 @@ over the right one; ``parallel_verdicts`` runs each operand on the word.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from itertools import compress, count, islice, repeat
 from operator import ne
 from types import MappingProxyType
@@ -36,6 +36,7 @@ from .automaton import (
     StateId,
     Symbol,
     Word,
+    _Frozen,
     _kernel,
     _on_union_alphabet,
     accepts,
@@ -56,7 +57,7 @@ __all__ = [
 ]
 
 
-class _Event:
+class _Event(_Frozen):
     """Value semantics of a frozen dataclass on a named tuple.
 
     An event is equal only to an event of its own class with equal fields,
@@ -83,12 +84,6 @@ class _Event:
         raise TypeError(f"{type(self).__name__} events are not ordered")
 
     __le__ = __gt__ = __ge__ = __lt__
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class Activate(_Event, namedtuple("Activate", "device")):

@@ -3,7 +3,14 @@
 import dataclasses
 import random
 
-from nfalgebra import Concat, elaborate, parse_expression, render_expression, validate
+from nfalgebra import (
+    EPSILON,
+    Concat,
+    elaborate,
+    parse_expression,
+    render_expression,
+    validate,
+)
 from nfalgebra import properties
 from nfalgebra.properties import (
     all_words,
@@ -11,6 +18,35 @@ from nfalgebra.properties import (
     random_expression,
     run_closure_suite,
 )
+
+from .oracles import reference_enumerate_language
+
+
+def without_bridges(expr, env):
+    """``elaborate``, with the ';' bridges dropped: a sequential composite
+    then accepts nothing."""
+    composite = elaborate(expr, env)
+    if not isinstance(expr, Concat):
+        return composite
+    transitions = {
+        key: frozenset(t for t in targets if t.namespace[:1] == key[0].namespace[:1])
+        for key, targets in composite.transitions.items()
+    }
+    return dataclasses.replace(composite, transitions=transitions)
+
+
+def without_right_fork_edge(expr, env):
+    """``elaborate``, with the '|' fork's edge into the right operand
+    dropped: a branching composite then accepts only the left language."""
+    composite = elaborate(expr, env)
+    if isinstance(expr, Concat):
+        return composite
+    transitions = dict(composite.transitions)
+    fork = (composite.initial, EPSILON)
+    transitions[fork] = frozenset(
+        t for t in transitions[fork] if t.namespace[:1] == ("L",)
+    )
+    return dataclasses.replace(composite, transitions=transitions)
 
 
 class TestRandomAutomaton:
@@ -62,21 +98,52 @@ class TestClosureSuite:
         assert run_closure_suite(3, 10, 4) == run_closure_suite(3, 10, 4)
 
     def test_composites_come_from_elaborate(self, monkeypatch):
-        # An elaborate that drops the ';' bridges: the sequential composite
-        # then accepts nothing, which the concat law must catch.
-        def without_bridges(expr, env):
-            composite = elaborate(expr, env)
-            if not isinstance(expr, Concat):
-                return composite
-            transitions = {
-                key: frozenset(
-                    t for t in targets if t.namespace[:1] == key[0].namespace[:1]
-                )
-                for key, targets in composite.transitions.items()
-            }
-            return dataclasses.replace(composite, transitions=transitions)
-
         monkeypatch.setattr(properties, "elaborate", without_bridges)
         result = run_closure_suite(42, 50)
         assert not result.ok
         assert {failure.law for failure in result.failures} == {"concat"}
+
+    def test_a_dropped_fork_edge_fails_the_parallel_law_on_each_word(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(properties, "elaborate", without_right_fork_edge)
+        seed, cases, max_len = 42, 20, 4
+        result = run_closure_suite(seed, cases, max_len)
+        # The broken composite accepts the left language alone, so the law
+        # fails exactly on the words only the right operand accepts, in
+        # word order.
+        rng = random.Random(seed)
+        expected = []
+        for case in range(cases):
+            left, right = random_automaton(rng), random_automaton(rng)
+            left_language = set(reference_enumerate_language(left, max_len))
+            right_language = set(reference_enumerate_language(right, max_len))
+            expected += [
+                (case, "parallel", w, False, True)
+                for w in all_words(max_len)
+                if w in right_language and w not in left_language
+            ]
+        assert expected
+        assert [
+            (f.case, f.law, f.word, f.composite_verdict, f.oracle_verdict)
+            for f in result.failures
+        ] == expected
+
+    def test_failures_order_by_case_then_word_then_concat_before_parallel(
+        self, monkeypatch
+    ):
+        def broken(expr, env):
+            if isinstance(expr, Concat):
+                return without_bridges(expr, env)
+            return without_right_fork_edge(expr, env)
+
+        monkeypatch.setattr(properties, "elaborate", broken)
+        result = run_closure_suite(42, 20, 4)
+        rank = {w: i for i, w in enumerate(all_words(4))}
+        keys = [
+            (f.case, rank[f.word], ("concat", "parallel").index(f.law))
+            for f in result.failures
+        ]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        # Some word fails both laws, so the order between them is tested.
+        assert len({key[:2] for key in keys}) < len(keys)

@@ -378,6 +378,24 @@ class TestInputWords:
         assert diag.code == "unknown-symbol"
         assert diag.column == 3
 
+    @pytest.mark.parametrize(
+        "text,tokens,unknown",
+        [
+            ("azbz", ["a", "b"], [("z", 2), ("z", 4)]),
+            ("ab,zz,cd,q", ["ab", "cd"], [("zz", 4), ("q", 10)]),
+        ],
+        ids=["bare", "comma"],
+    )
+    def test_every_unknown_letter_at_its_column(self, text, tokens, unknown):
+        with pytest.raises(ParseError) as err:
+            parse_input(text, frozenset(map(letter, tokens)))
+        assert [
+            (d.line, d.column, d.code, d.message) for d in err.value.diagnostics
+        ] == [
+            (1, column, "unknown-symbol", f"letter {token!r} is not in the alphabet")
+            for token, column in unknown
+        ]
+
     def test_format_round_trips(self, n1):
         for text in ("eps", "a", "aabaaaab"):
             assert format_word(parse_input(text, n1.alphabet)) == text
