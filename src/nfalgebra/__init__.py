@@ -14,10 +14,13 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# The public names, by the submodule that defines them.  ``import nfalgebra``
-# loads none of these submodules: each loads on first access to one of its
-# names, so a CLI call pays only for the code its subcommand runs, and
-# ``python -m nfalgebra.cli`` finds no half-imported ``cli`` to warn about.
+# The public names, by the submodule that defines them.  This is the one
+# list of them: each of these submodules builds its ``__all__`` from its
+# entry (``analysis`` adds its re-export of ``InvalidAutomatonError``).
+# ``import nfalgebra`` loads none of these submodules: each loads on first
+# access to one of its names, so a CLI call pays only for the code its
+# subcommand runs, and ``python -m nfalgebra.cli`` finds no half-imported
+# ``cli`` to warn about.
 _EXPORTS = {
     "algebra": (
         "CompositionExpr", "Concat", "Device", "DeviceEnvironment",

@@ -14,8 +14,8 @@ Both constructions take plain unions of state sets and therefore require
 the operands to be disjoint.  ``instantiate`` manufactures disjointness by
 prepending a namespace segment to every state.  ``elaborate`` builds the
 composite an expression tree describes, with every operand renamed under
-its position in the tree, in one pass; composites are ordinary automata
-that can be composed again.
+its position in the tree, with no intermediate composite; composites are
+ordinary automata that can be composed again.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
+from . import _EXPORTS
 from .automaton import (
     _EXPRESSION_MARKS,
     EPSILON,
@@ -36,22 +37,7 @@ from .automaton import (
     validate,
 )
 
-__all__ = [
-    "CompositionExpr",
-    "Concat",
-    "Device",
-    "DeviceEnvironment",
-    "InvalidDeviceError",
-    "Parallel",
-    "StateClashError",
-    "UnboundDeviceError",
-    "concat",
-    "elaborate",
-    "instantiate",
-    "leaf_devices",
-    "parallel",
-    "subexpressions",
-]
+__all__ = [*_EXPORTS["algebra"]]
 
 
 class StateClashError(ValueError):
@@ -67,8 +53,9 @@ class InvalidDeviceError(ValueError):
 
 
 def check_device_name(name: str) -> None:
-    """Reject a name an expression could not refer to as one leaf."""
-    check_name(name, "device name", (_EXPRESSION_MARKS,))
+    """Reject a name an expression could not refer to as one leaf, or a
+    device file could not declare.  This is the one device-name rule."""
+    check_name(name, "device name", (_EXPRESSION_MARKS, "#"))
 
 
 @dataclass(frozen=True)
@@ -196,12 +183,13 @@ def elaborate(expr: CompositionExpr, env: DeviceEnvironment) -> Automaton:
     leftmost unbound or invalid leaf is the one reported.
 
     The result is what folding the tree with ``instantiate``, ``concat``
-    and ``parallel`` would give, built in one pass: every leaf state is
-    renamed straight to its final position path, each ``;`` node bridges
-    the finals of its left subtree to the initial state of its right one,
-    and each ``|`` node adds its fork state ``r0`` under its own path
-    (both operands live under ``L``/``R``, so ``r0`` never needs a
-    suffix).  A lone device comes back as the bound automaton itself.
+    and ``parallel`` would give, built with no intermediate composite:
+    every leaf state is renamed straight to its final position path, then
+    the nodes are folded bottom-up.  Each ``;`` node bridges the finals of
+    its left subtree to the initial state of its right one, and each ``|``
+    node adds its fork state ``r0`` under its own path (both operands live
+    under ``L``/``R``, so ``r0`` never needs a suffix).  A lone device
+    comes back as the bound automaton itself.
     """
     checked: dict[str, Automaton] = {}
 
@@ -224,17 +212,15 @@ def elaborate(expr: CompositionExpr, env: DeviceEnvironment) -> Automaton:
     if isinstance(expr, Device):
         return bound(expr.name)
 
+    positions = _positions(expr)
     alphabet: set[Symbol] = set()
     states: set[StateId] = set()
     transitions: dict[tuple[StateId, Symbol], frozenset[StateId]] = {}
-    # Post-order walk, left before right: (node, path, children done).
-    pending: list[tuple[CompositionExpr, tuple[str, ...], bool]] = [
-        (expr, (), False)
-    ]
-    # (initial state, final states) of each finished subtree.
-    done: list[tuple[StateId, list[StateId]]] = []
-    while pending:
-        node, path, expanded = pending.pop()
+    # Leaves go in left to right, which keeps the maps close to the
+    # canonical order that renders sort them into: (initial state, final
+    # states) of each renamed leaf.
+    leaves: list[tuple[StateId, list[StateId]]] = []
+    for node, path in positions:
         if isinstance(node, Device):
             automaton = bound(node.name)
             rename = {
@@ -246,27 +232,28 @@ def elaborate(expr: CompositionExpr, env: DeviceEnvironment) -> Automaton:
                 transitions[(rename[source], symbol)] = frozenset(
                     rename[t] for t in targets
                 )
-            done.append(
+            leaves.append(
                 (rename[automaton.initial], [rename[f] for f in automaton.finals])
             )
-        elif not expanded:
-            pending.append((node, path, True))
-            pending.append((node.right, (*path, "R"), False))
-            pending.append((node.left, (*path, "L"), False))
+    # (initial state, final states) of each finished subtree.
+    done: list[tuple[StateId, list[StateId]]] = []
+    for node, path in reversed(positions):
+        if isinstance(node, Device):
+            done.append(leaves.pop())
+            continue
+        left_initial, left_finals = done.pop()
+        right_initial, right_finals = done.pop()
+        if isinstance(node, Concat):
+            bridge = frozenset({right_initial})
+            for final in left_finals:
+                key = (final, EPSILON)
+                transitions[key] = transitions.get(key, frozenset()) | bridge
+            done.append((left_initial, right_finals))
         else:
-            right_initial, right_finals = done.pop()
-            left_initial, left_finals = done.pop()
-            if isinstance(node, Concat):
-                bridge = frozenset({right_initial})
-                for final in left_finals:
-                    key = (final, EPSILON)
-                    transitions[key] = transitions.get(key, frozenset()) | bridge
-                done.append((left_initial, right_finals))
-            else:
-                fork = StateId(path, "r0")
-                states.add(fork)
-                transitions[(fork, EPSILON)] = frozenset({left_initial, right_initial})
-                done.append((fork, left_finals + right_finals))
+            fork = StateId(path, "r0")
+            states.add(fork)
+            transitions[(fork, EPSILON)] = frozenset({left_initial, right_initial})
+            done.append((fork, left_finals + right_finals))
     initial, finals = done.pop()
     return Automaton(
         alphabet=frozenset(alphabet),
@@ -277,20 +264,35 @@ def elaborate(expr: CompositionExpr, env: DeviceEnvironment) -> Automaton:
     )
 
 
+def _positions(
+    expr: CompositionExpr,
+) -> list[tuple[CompositionExpr, tuple[str, ...]]]:
+    """Every node with its position path, in pre-order: each node, then its
+    left subtree, then its right one.  The root's path is empty, and a
+    child's path appends "L" or "R" to its parent's; so no position lies
+    below a leaf, and every prefix of a position is a position.
+
+    Read in reverse, the list gives both subtrees of a node before the
+    node, the left one last: a fold that stacks each finished subtree's
+    result finds the left child's on top.  This is the one walk of the
+    tree; an expression of any depth costs heap, not the interpreter's
+    stack."""
+    out = []
+    pending: list[tuple[CompositionExpr, tuple[str, ...]]] = [(expr, ())]
+    while pending:
+        node, path = pending.pop()
+        out.append((node, path))
+        if not isinstance(node, Device):
+            pending.append((node.right, path + ("R",)))
+            pending.append((node.left, path + ("L",)))
+    return out
+
+
 def subexpressions(expr: CompositionExpr) -> dict[str, CompositionExpr]:
     """Map every position path to its subtree ("" is the root, children
     append L/R), in pre-order: each node, then its left subtree, then its
     right one."""
-    out: dict[str, CompositionExpr] = {}
-    pending: list[tuple[CompositionExpr, str]] = [(expr, "")]
-    while pending:
-        node, path = pending.pop()
-        out[path] = node
-        if isinstance(node, (Concat, Parallel)):
-            prefix = f"{path}." if path else ""
-            pending.append((node.right, f"{prefix}R"))
-            pending.append((node.left, f"{prefix}L"))
-    return out
+    return {".".join(path): node for node, path in _positions(expr)}
 
 
 def leaf_devices(expr: CompositionExpr) -> list[tuple[str, str]]:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
+from . import _EXPORTS
 from .automaton import (
     Automaton,
     InvalidAutomatonError,
@@ -26,17 +27,7 @@ from .automaton import (
     symbol_key,
 )
 
-__all__ = [
-    "Dfa",
-    "EnumerationBoundError",
-    "EquivalenceVerdict",
-    "InvalidAutomatonError",
-    "SubsetState",
-    "determinize",
-    "dfa_to_automaton",
-    "enumerate_language",
-    "equivalent",
-]
+__all__ = sorted([*_EXPORTS["analysis"], "InvalidAutomatonError"])
 
 SubsetState = tuple[StateId, ...]
 

@@ -23,32 +23,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import FrozenInstanceError, dataclass
-from functools import total_ordering
+from functools import cached_property, total_ordering
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-__all__ = [
-    "EPSILON",
-    "EPSILON_TOKEN",
-    "Automaton",
-    "InvalidAutomatonError",
-    "RunWitness",
-    "StateId",
-    "Symbol",
-    "UnknownSymbolError",
-    "Violation",
-    "Word",
-    "accepts",
-    "check_witness",
-    "letter",
-    "pad_alphabet",
-    "state",
-    "symbol_key",
-    "validate",
-    "witness",
-    "word",
-]
+from . import _EXPORTS
+
+__all__ = [*_EXPORTS["automaton"]]
 
 # Reserved spelling of the empty-string symbol in all text formats.
 EPSILON_TOKEN = "eps"
@@ -447,10 +429,13 @@ class _Kernel:
     the kernel meets an undeclared state or an unknown letter.
 
     Nothing changes after construction except two tables built on first
-    use: ``_moves``, the search moves of ``witness``, and
-    ``_predecessors``, the reversed successor table that ``live`` walks.
-    Building is idempotent, so threads racing on one at worst build it
-    twice.
+    use: ``moves``, the search moves of ``witness``, and ``predecessors``,
+    the reversed successor table that ``live`` walks.  Each is a
+    ``functools.cached_property``, stored in the instance ``__dict__``
+    once built.  On Python 3.10 and 3.11 the build holds that property's
+    lock, which is shared by every kernel; from 3.12 on there is no lock,
+    and two threads racing on one table may each build it.  Building is
+    idempotent, so either copy is right.
     """
 
     def __init__(self, automaton: Automaton) -> None:
@@ -484,9 +469,6 @@ class _Kernel:
         self.closure = _closures(self.epsilon)
         self.start = self.closure[self.initial]
         self.successors = [[self.close(mask) for mask in row] for row in self.direct]
-        self._moves: tuple[list[list[tuple[int, ...]]], list[tuple[int, ...]]] | None
-        self._moves = None
-        self._predecessors: tuple[list[list[int]], int] | None = None
 
     def close(self, mask: int) -> int:
         """The empty-string closure of a set of states."""
@@ -521,63 +503,61 @@ class _Kernel:
         """The co-reachable mask of every position, ``len(indices) + 1`` of
         them: bit ``i`` of ``live(w)[p]`` is set when ``w[p:]`` leads from
         state ``i`` to a final state.  The pass runs right to left over
-        ``predecessors()``; from where the mask dies, every entry is 0."""
-        rows, cofinals = self.predecessors()
+        ``predecessors``; from where the mask dies, every entry is 0."""
+        rows, cofinals = self.predecessors
         masks = _sweep(cofinals, rows, indices[::-1])
         masks.reverse()
         return masks
 
+    @cached_property
     def predecessors(self) -> tuple[list[list[int]], int]:
         """The reversed successor table, with the states that reach a final
         state by empty-string moves alone.
 
-        ``predecessors()[0][k][t]`` is the set of states whose closure has a
+        ``predecessors[0][k][t]`` is the set of states whose closure has a
         move on letter ``k`` to state ``t``, so the union of its rows over a
         set ``S`` is every state from which letter ``k`` and then
         empty-string moves can reach ``S``.
         """
-        if self._predecessors is None:
-            n = len(self.states)
-            coclosure = [0] * n
-            for i, mask in enumerate(self.closure):
-                for j in _bits(mask):
-                    coclosure[j] |= 1 << i
-            rows = []
-            for direct in self.direct:
-                row = [0] * n
-                for j, targets in enumerate(direct):
-                    for t in _bits(targets):
-                        row[t] |= coclosure[j]
-                rows.append(row)
-            self._predecessors = (rows, _gather(coclosure, self.finals))
-        return self._predecessors
+        n = len(self.states)
+        coclosure = [0] * n
+        for i, mask in enumerate(self.closure):
+            for j in _bits(mask):
+                coclosure[j] |= 1 << i
+        rows = []
+        for direct in self.direct:
+            row = [0] * n
+            for j, targets in enumerate(direct):
+                for t in _bits(targets):
+                    row[t] |= coclosure[j]
+            rows.append(row)
+        return rows, _gather(coclosure, self.finals)
 
+    @cached_property
     def moves(self) -> tuple[list[list[tuple[int, ...]]], list[tuple[int, ...]]]:
         """The moves of ``witness``'s search, as offsets between configurations.
 
         A configuration ``position * n + state`` moves to ``config + offset``.
-        ``moves()[0][k][i]`` lists state ``i``'s moves while letter ``k`` is
+        ``moves[0][k][i]`` lists state ``i``'s moves while letter ``k`` is
         next, ordered by (target, empty-string before letter);
-        ``moves()[1][i]`` its empty-string moves once the input is read.
+        ``moves[1][i]`` its empty-string moves once the input is read.
         """
-        if self._moves is None:
-            n = len(self.states)
-            epsilon = [tuple(t - i for t in ts) for i, ts in enumerate(self.epsilon)]
-            on_letter = [
-                [
-                    tuple(
-                        t - i + n * consumed
-                        for t, consumed in sorted(
-                            [(t, 0) for t in self.epsilon[i]]
-                            + [(t, 1) for t in _bits(row[i])]
-                        )
+        n = len(self.states)
+        epsilon = [tuple(t - i for t in ts) for i, ts in enumerate(self.epsilon)]
+        on_letter = [
+            [
+                tuple(
+                    t - i + n * consumed
+                    for t, consumed in sorted(
+                        [(t, 0) for t in self.epsilon[i]]
+                        + [(t, 1) for t in _bits(row[i])]
                     )
-                    for i in range(n)
-                ]
-                for row in self.direct
+                )
+                for i in range(n)
             ]
-            self._moves = (on_letter, epsilon)
-        return self._moves
+            for row in self.direct
+        ]
+        return on_letter, epsilon
 
 
 def _kernel(automaton: Automaton) -> _Kernel:
@@ -638,7 +618,7 @@ def witness(automaton: Automaton, input_word: Iterable[Symbol]) -> RunWitness | 
     live = kernel.live(indices)
     if not live[0] >> kernel.initial & 1:
         return None
-    on_letter, on_epsilon = kernel.moves()
+    on_letter, on_epsilon = kernel.moves
     n, end = len(kernel.states), len(input_word)
     # A configuration is position * n + state; sorted moves make the first
     # discovery of each configuration the one by the least (state, symbol).

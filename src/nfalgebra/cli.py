@@ -10,7 +10,8 @@ reject / inequivalent / suite fail, 2 for usage errors and every failure,
 out of memory included.  Results go to stdout, diagnostics to stderr: a
 parse problem as ``LINE:COL: code: message``, prefixed with the device file
 or option (``-e:``, ``-e2:``, ``-i:``) at fault, and any other failure as
-one ``error:`` line.
+one ``error:`` line, which names the file or option at fault if there is
+one (``error: -e2: no device named 'N9' is bound``).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import sys
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence, TypeVar
 
+from . import _EXPORTS
 from .algebra import CompositionExpr, elaborate
 from .automaton import Automaton, Symbol, accepts
 from .textio import (
@@ -40,7 +42,7 @@ if TYPE_CHECKING:
 
 # The package exports ``run_cli``; ``main`` is the console script's entry
 # point.
-__all__ = ["run_cli"]
+__all__ = [*_EXPORTS["cli"]]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,8 +135,9 @@ def main() -> None:
 
 
 class _SourceError(Exception):
-    """``(source, cause)``: an input that could not be read or parsed, a
-    device file or the text of an option (``-e``, ``-e2``, ``-i``)."""
+    """``(source, cause)``: an input that could not be read, parsed or
+    elaborated, a device file or the text of an option (``-e``, ``-e2``,
+    ``-i``)."""
 
 
 _T = TypeVar("_T")
@@ -194,7 +197,7 @@ def _elaborated(
             raise _SourceError(path, ValueError(f"duplicate device name {name!r}"))
         env[name] = automaton
     expr = _parsed("-e", parse_expression, args.expr)
-    return expr, env, elaborate(expr, env)
+    return expr, env, _parsed("-e", elaborate, expr, env)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -243,9 +246,10 @@ def _event_texts(
 
 def _trace_json(trace: ControlTrace, alphabet: Iterable[Symbol]) -> str:
     """The trace as ``json.dumps(payload, indent=2)`` spells it, written from
-    one fixed template per event kind: with ``indent`` set, CPython up to
+    one fixed template per event kind: with ``indent`` set, CPython before
     3.13 falls back to its pure-Python encoder, which costs more than
-    tracing a long word does."""
+    tracing a long word does.  From 3.13 the C encoder takes ``indent``
+    too, and it is still slower than these templates."""
     from json.encoder import encode_basestring_ascii
 
     from .trace import Activate, Handoff, Step, Verdict
@@ -345,7 +349,8 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     from .analysis import equivalent
 
     _, env, first = _elaborated(args)
-    second = elaborate(_parsed("-e2", parse_expression, args.expr2), env)
+    expr2 = _parsed("-e2", parse_expression, args.expr2)
+    second = _parsed("-e2", elaborate, expr2, env)
     verdict = equivalent(first, second)
     if verdict.equivalent:
         print("equivalent")

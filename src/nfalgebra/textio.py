@@ -16,8 +16,9 @@ most once (``trans`` lines repeat, one edge per line).  ``alphabet`` and
 the empty-string symbol in ``trans`` lines and is implicitly part of every
 alphabet, so it may not be declared as a letter.  Namespaced states join
 their path with dots (``L.p0``).  Letters may not contain ``#`` or ``,``,
-state names may not contain ``#``, and the name may not contain any of
-``;|()``, which expressions could not refer to.
+state names may not contain ``#``, and the name may not contain ``#`` or
+any of ``;|()``, which expressions could not refer to: the one rule for
+device names is ``algebra.check_device_name``.
 
 Parsing splits each line on whitespace and reports every problem it finds,
 each at its line and column.  A line's token columns are worked out only
@@ -51,7 +52,15 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, NoReturn
 
-from .algebra import CompositionExpr, Concat, Device, Parallel, check_device_name
+from . import _EXPORTS
+from .algebra import (
+    CompositionExpr,
+    Concat,
+    Device,
+    Parallel,
+    _positions,
+    check_device_name,
+)
 from .automaton import (
     _EXPRESSION_MARKS,
     EPSILON,
@@ -61,21 +70,10 @@ from .automaton import (
     Symbol,
     Word,
     _state_order,
-    check_name,
     state,
 )
 
-__all__ = [
-    "ParseDiagnostic",
-    "ParseError",
-    "format_word",
-    "parse_automaton",
-    "parse_expression",
-    "parse_input",
-    "render_automaton",
-    "render_dot",
-    "render_expression",
-]
+__all__ = [*_EXPORTS["textio"]]
 
 
 @dataclass(frozen=True)
@@ -271,7 +269,7 @@ def parse_automaton(text: str) -> tuple[str, Automaton]:
 
 def render_automaton(automaton: Automaton, name: str = "A") -> str:
     """Canonical text for an automaton: sorted, byte-stable, reparseable."""
-    check_name(name, "device name", (_EXPRESSION_MARKS, "#"))
+    check_device_name(name)
     lines = [
         f"name {name}",
         " ".join(["alphabet", *map(str, automaton.letters())]),
@@ -288,7 +286,11 @@ _EXPR_TOKEN = re.compile(r"[^{0}\s]+|[{0}]".format(re.escape(_EXPRESSION_MARKS))
 
 
 def parse_expression(text: str) -> CompositionExpr:
-    """Parse an expression; ``;`` binds tighter than ``|``, both left-associative."""
+    """Parse an expression; ``;`` binds tighter than ``|``, both left-associative.
+
+    A leaf whose name breaks ``check_device_name`` (one holding ``#``) is a
+    ``bad-name`` at its column.
+    """
     tokens: list[tuple[str, int, int]] = []
     for lineno, raw in enumerate(text.splitlines() or [""], start=1):
         for m in _EXPR_TOKEN.finditer(raw):
@@ -323,7 +325,10 @@ def parse_expression(text: str) -> CompositionExpr:
             fail(
                 "expected-operand", f"expected a device name, found {token[0]!r}", token
             )
-        node: CompositionExpr = Device(token[0])
+        try:
+            node: CompositionExpr = Device(token[0])
+        except ValueError as err:
+            fail("bad-name", str(err), token)
         # Fold the operand in, closing every parenthesis that follows it.
         while True:
             frame = frames[-1]
@@ -360,28 +365,22 @@ def render_expression(expr: CompositionExpr) -> str:
             return 2
         return 3
 
-    # Post-order walk, left before right: (node, children done).  Each
-    # finished subtree's text waits on ``rendered`` until its parent joins it.
+    # Each finished subtree's text waits on ``rendered`` until its parent
+    # joins it.
     rendered: list[str] = []
-    pending: list[tuple[CompositionExpr, bool]] = [(expr, False)]
-    while pending:
-        node, expanded = pending.pop()
+    for node, _ in reversed(_positions(expr)):
         if isinstance(node, Device):
             rendered.append(node.name)
-        elif not expanded:
-            pending.append((node, True))
-            pending.append((node.right, False))
-            pending.append((node.left, False))
-        else:
-            joiner = " ; " if isinstance(node, Concat) else " | "
-            mine = precedence(node)
-            right = rendered.pop()
-            left = rendered.pop()
-            if precedence(node.left) < mine:
-                left = f"({left})"
-            if precedence(node.right) <= mine:  # right nesting must stay explicit
-                right = f"({right})"
-            rendered.append(f"{left}{joiner}{right}")
+            continue
+        joiner = " ; " if isinstance(node, Concat) else " | "
+        mine = precedence(node)
+        left = rendered.pop()
+        right = rendered.pop()
+        if precedence(node.left) < mine:
+            left = f"({left})"
+        if precedence(node.right) <= mine:  # right nesting must stay explicit
+            right = f"({right})"
+        rendered.append(f"{left}{joiner}{right}")
     return rendered.pop()
 
 

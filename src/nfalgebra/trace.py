@@ -21,12 +21,13 @@ from dataclasses import dataclass, field
 from itertools import compress, count, islice, repeat
 from operator import ne
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Container, Iterable, Mapping, Union
 
+from . import _EXPORTS
 from .algebra import (
     CompositionExpr,
-    Device,
     DeviceEnvironment,
+    _positions,
     elaborate,
     leaf_devices,
 )
@@ -44,17 +45,7 @@ from .automaton import (
     witness,
 )
 
-__all__ = [
-    "Activate",
-    "ControlTrace",
-    "Handoff",
-    "Step",
-    "TraceEvent",
-    "Verdict",
-    "control_trace",
-    "parallel_verdicts",
-    "splits",
-]
+__all__ = [*_EXPORTS["trace"]]
 
 
 class _Event(_Frozen):
@@ -181,7 +172,8 @@ def _trace_composite(
         ]
         return ControlTrace(input_word, False, verdicts, dict(leaves))
     states, symbols = run.states, run.symbols
-    owned = list(map(_owners(expr, composite.states).__getitem__, states))
+    positions = {path for _, path in _positions(expr)}
+    owned = list(map(_owners(positions, composite.states).__getitem__, states))
     # Every move is built as a Step by C-level iteration alone, since
     # ``tuple.__new__`` runs no Python frame.  Python code visits only the
     # moves that change device, a few per run: an empty-string one becomes
@@ -209,12 +201,14 @@ def _trace_composite(
     return ControlTrace(input_word, True, events, dict(leaves))
 
 
-def _owners(expr: CompositionExpr, states: Iterable[StateId]) -> dict[StateId, str]:
-    """The path of the expression leaf that owns each state.
-
-    A state's owner is the longest expression-position prefix of its
-    namespace, found by walking down the tree; any deeper segments are the
-    device's own internal structure.  Each namespace is walked once.
+def _owners(
+    positions: Container[tuple[str, ...]], states: Iterable[StateId]
+) -> dict[StateId, str]:
+    """The dotted position of the expression node that owns each state: the
+    longest prefix of its namespace that is one of the ``positions`` (the
+    root's, ``()``, is always one).  No position lies below a leaf, so any
+    deeper segments are the device's own internal structure.  Each
+    namespace is looked up once.
     """
     by_namespace: dict[tuple[str, ...], str] = {}
     owners = {}
@@ -222,12 +216,9 @@ def _owners(expr: CompositionExpr, states: Iterable[StateId]) -> dict[StateId, s
         namespace = state_id.namespace
         found = by_namespace.get(namespace)
         if found is None:
-            node, depth = expr, 0
-            for segment in namespace:
-                if isinstance(node, Device) or segment not in ("L", "R"):
-                    break
-                node = node.left if segment == "L" else node.right
-                depth += 1
+            depth = len(namespace)
+            while namespace[:depth] not in positions:
+                depth -= 1
             found = by_namespace[namespace] = ".".join(namespace[:depth])
         owners[state_id] = found
     return owners

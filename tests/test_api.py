@@ -28,7 +28,9 @@ def test_moved_names_are_gone(module):
 
 @pytest.mark.parametrize("module", sorted(nfalgebra._EXPORTS))
 def test_export_table_matches_each_module(module):
-    # ``_EXPORTS`` and each module's ``__all__`` are both written by hand.
+    # Each module builds its ``__all__`` from ``_EXPORTS``, the one list;
+    # this keeps a module from listing a name of its own that the package
+    # does not export.
     owner = importlib.import_module(f"nfalgebra.{module}")
     listed = set(nfalgebra._EXPORTS[module])
     assert listed <= set(owner.__all__)

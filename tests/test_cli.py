@@ -107,6 +107,13 @@ class TestAccept:
         assert code == 2
         assert "N9" in err
 
+    def test_unnameable_device_is_a_bad_name(self, capsys):
+        code, out, err = run(capsys, "accept", "-d", N1, "-e", "N1 ; a#b", "-i", "a")
+        assert (code, out) == (2, "")
+        assert err == (
+            "-e:1:6: bad-name: device name 'a#b' contains '#', the comment mark\n"
+        )
+
     def test_unknown_input_symbol(self, capsys):
         code, _, err = run(capsys, "accept", "-d", N1, "-e", "N1", "-i", "abz")
         assert code == 2
@@ -276,16 +283,20 @@ class TestEquiv:
         assert (code, out.strip()) == (1, "abaa")
 
     @pytest.mark.parametrize(
-        "first,second,option",
-        [("N1 ;", "N1", "-e"), ("N1", "N1 ;", "-e2")],
-        ids=["e", "e2"],
+        "first,second,expected",
+        [
+            ("N1 ;", "N1", "-e:1:5: expected-operand: expected a device name or '('"),
+            ("N1", "N1 ;", "-e2:1:5: expected-operand: expected a device name or '('"),
+            ("N9", "N1", "error: -e: no device named 'N9' is bound"),
+            ("N1", "N9", "error: -e2: no device named 'N9' is bound"),
+        ],
+        ids=["e", "e2", "e-unbound", "e2-unbound"],
     )
     def test_expression_diagnostic_names_its_option(
-        self, capsys, first, second, option
+        self, capsys, first, second, expected
     ):
         code, out, err = run(capsys, "equiv", "-d", N1, "-e", first, "-e2", second)
-        assert (code, out) == (2, "")
-        assert err == f"{option}:1:5: expected-operand: expected a device name or '('\n"
+        assert (code, out, err) == (2, "", expected + "\n")
 
     def test_counterexample_reads_back_over_mixed_length_letters(
         self, capsys, tmp_path

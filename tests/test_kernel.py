@@ -329,6 +329,20 @@ class TestCache:
         assert repr(fresh) == before
         assert fresh == n1
 
+    def test_lazy_tables_are_built_once_on_first_use(self, n1):
+        fresh = Automaton(
+            n1.alphabet, n1.states, n1.initial, dict(n1.transitions), n1.finals
+        )
+        assert accepts(fresh, word("baa"))
+        kernel = _kernel(fresh)
+        assert "moves" not in vars(kernel)
+        assert "predecessors" not in vars(kernel)
+        assert witness(fresh, word("baa")) == reference_witness(n1, word("baa"))
+        moves, predecessors = vars(kernel)["moves"], vars(kernel)["predecessors"]
+        assert witness(fresh, word("abaa")) == reference_witness(n1, word("abaa"))
+        assert kernel.moves is moves
+        assert kernel.predecessors is predecessors
+
     def test_threads_share_one_fresh_automaton(self, n1):
         fresh = Automaton(
             n1.alphabet, n1.states, n1.initial, dict(n1.transitions), n1.finals

@@ -230,15 +230,16 @@ class TestRenderAutomaton:
         with pytest.raises(ValueError):
             render_automaton(n1, "two words")
 
-    @pytest.mark.parametrize("name", ["A;B", "(A)", "A#B", "a;b", "x(y", "A|B", "A)"])
+    @pytest.mark.parametrize(
+        "name", ["A;B", "(A)", "A#B", "a;b", "x(y", "A|B", "A)", "a#b"]
+    )
     def test_name_that_would_not_parse_back(self, n1, name):
         with pytest.raises(ValueError):
             render_automaton(n1, name)
         # A leaf so named would render as text that reads back as other
-        # leaves, or not at all; only '#' is harmless in an expression.
-        if "#" not in name:
-            with pytest.raises(ValueError):
-                Device(name)
+        # leaves, or not at all, or name a device no file can declare.
+        with pytest.raises(ValueError):
+            Device(name)
 
     def test_empty_sections_round_trip(self):
         # Empty alphabet and empty finals stay representable.
@@ -281,6 +282,7 @@ class TestParseExpression:
             ("(N1", "unbalanced-paren"),
             ("N1)", "unbalanced-paren"),
             ("N1 N2", "expected-operator"),
+            ("N1 ; a#b", "bad-name"),
         ],
     )
     def test_diagnostics(self, text, code):
