@@ -91,10 +91,7 @@ def instantiate(automaton: Automaton, segment: str) -> Automaton:
     Renaming never touches the language; applying it twice nests paths, so
     instantiating with "A" then "B" yields ``B.A.*`` states.
     """
-    try:
-        check_segment(segment, "namespace segment")
-    except ValueError as err:
-        raise ValueError(f"invalid namespace segment: {err}") from None
+    check_segment(segment, "namespace segment")
 
     def rename(s: StateId) -> StateId:
         return StateId((segment, *s.namespace), s.local)
@@ -191,22 +188,16 @@ def elaborate(expr: CompositionExpr, env: DeviceEnvironment) -> Automaton:
     under ``L``/``R``, so ``r0`` never needs a suffix).  A lone device
     comes back as the bound automaton itself.
     """
-    checked: dict[str, Automaton] = {}
 
     def bound(name: str) -> Automaton:
-        automaton = checked.get(name)
+        automaton = env.get(name)
         if automaton is None:
-            automaton = env.get(name)
-            if automaton is None:
-                raise UnboundDeviceError(f"no device named {name!r} is bound")
-            try:
-                _kernel(automaton)
-            except InvalidAutomatonError:
-                detail = "; ".join(v.code for v in validate(automaton))
-                raise InvalidDeviceError(
-                    f"device {name!r} is invalid: {detail}"
-                ) from None
-            checked[name] = automaton
+            raise UnboundDeviceError(f"no device named {name!r} is bound")
+        try:
+            _kernel(automaton)
+        except InvalidAutomatonError:
+            detail = "; ".join(v.code for v in validate(automaton))
+            raise InvalidDeviceError(f"device {name!r} is invalid: {detail}") from None
         return automaton
 
     if isinstance(expr, Device):

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence, TypeVar
 
 from . import _EXPORTS
 from .algebra import CompositionExpr, elaborate
-from .automaton import Automaton, Symbol, accepts
+from .automaton import EPSILON, Automaton, Symbol, accepts
 from .textio import (
     ParseError,
     _Spellings,
@@ -246,61 +246,57 @@ def _event_texts(
 
 def _trace_json(trace: ControlTrace, alphabet: Iterable[Symbol]) -> str:
     """The trace as ``json.dumps(payload, indent=2)`` spells it, written from
-    one fixed template per event kind: with ``indent`` set, CPython before
-    3.13 falls back to its pure-Python encoder, which costs more than
-    tracing a long word does.  From 3.13 the C encoder takes ``indent``
-    too, and it is still slower than these templates."""
+    one layout rule and each event kind's template built by it: with
+    ``indent`` set, CPython before 3.13 falls back to its pure-Python
+    encoder, which costs more than tracing a long word does.  From 3.13 the
+    C encoder takes ``indent`` too, and it is still slower than this."""
     from json.encoder import encode_basestring_ascii
 
     from .trace import Activate, Handoff, Step, Verdict
 
     q = _Spellings(encode_basestring_ascii)  # a run repeats few names
+    q.update({True: "true", False: "false"})  # JSON's booleans are bare
+
+    def layout(opening: str, items: list[str], closing: str, depth: int) -> str:
+        # An object or array at ``depth``: one encoded item a line, indented
+        # one level deeper than its brackets, or ``{}`` / ``[]`` when empty.
+        # One join, so a long array is copied once, into the document.
+        if not items:
+            return opening + closing
+        outer = "\n" + "  " * depth
+        inner = outer + "  "
+        pieces = [opening]
+        for item in items:
+            pieces += (inner, item, ",")
+        pieces[-1] = outer + closing  # in place of the last comma
+        return "".join(pieces)
+
+    def event(kind: str, *keys: str) -> Callable[[tuple], str]:
+        # One kind's object in the events array, from a %s template laid out
+        # once; the values are spelled in the order of ``keys``.
+        items = [f'"kind": "{kind}"', *(f'"{key}": %s' for key in keys)]
+        template = layout("{", items, "}", 2)
+        return lambda values: template % tuple(map(q.__getitem__, values))
+
+    handoff = event("handoff", "device", "to_device", "from", "letter", "to")
     events = _event_texts(
         trace.events,
         {
-            Step: lambda e: (
-                '    {\n      "kind": "step",\n      "device": %s,\n'
-                '      "from": %s,\n      "letter": %s,\n      "to": %s\n    }'
-                % tuple(map(q.__getitem__, e))
-            ),
-            Activate: lambda e: (
-                '    {\n      "kind": "activate",\n      "device": %s\n    }'
-                % q[e.device]
-            ),
-            # The fields in template order: device, to_device, from, to.
-            Handoff: lambda e: (
-                '    {\n      "kind": "handoff",\n      "device": %s,\n'
-                '      "to_device": %s,\n      "from": %s,\n'
-                '      "letter": "eps",\n      "to": %s\n    }'
-                % tuple(map(q.__getitem__, e))
-            ),
-            Verdict: lambda e: (
-                '    {\n      "kind": "verdict",\n      "device": %s,\n'
-                '      "accepted": %s\n    }'
-                % (q[e.device], "true" if e.accepted else "false")
-            ),
+            Step: event("step", "device", "from", "letter", "to"),
+            Activate: event("activate", "device"),
+            # device, to_device and from, then the empty-string letter, then to.
+            Handoff: lambda e: handoff((*e[:3], EPSILON, e.target)),
+            Verdict: event("verdict", "device", "accepted"),
         },
     )
-    devices = [
-        f"    {q[path]}: {q[name]}" for path, name in sorted(trace.devices.items())
+    devices = [f"{q[path]}: {q[name]}" for path, name in sorted(trace.devices.items())]
+    document = [
+        f'"input": {q[format_word(trace.input, alphabet)]}',
+        f'"overall": {q[trace.overall]}',
+        f'"devices": {layout("{", devices, "}", 1)}',
+        f'"events": {layout("[", events, "]", 1)}',
     ]
-
-    def block(items: list[str], opening: str, closing: str) -> str:
-        # A member's object or array at depth 1, or ``{}`` / ``[]`` when empty.
-        if not items:
-            return opening + closing
-        return f"{opening}\n" + ",\n".join(items) + f"\n  {closing}"
-
-    return "\n".join(
-        [
-            "{",
-            f'  "input": {q[format_word(trace.input, alphabet)]},',
-            f'  "overall": {"true" if trace.overall else "false"},',
-            f'  "devices": {block(devices, "{", "}")},',
-            f'  "events": {block(events, "[", "]")}',
-            "}",
-        ]
-    )
+    return layout("{", document, "}", 0)
 
 
 def _trace_lines(trace: ControlTrace, alphabet: Iterable[Symbol]) -> list[str]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 from .algebra import CompositionExpr, Concat, Device, Parallel, elaborate
@@ -88,12 +89,9 @@ def random_expression(
 def all_words(max_len: int = 6) -> list[Word]:
     """Every word over {a, b} of length <= max_len, shortest first then
     lexicographic."""
-    out: list[Word] = [()]
-    level: list[Word] = [()]
-    for _ in range(max_len):
-        level = [w + (s,) for w in level for s in DEFAULT_LETTERS]
-        out.extend(level)
-    return out
+    return [
+        w for n in range(max_len + 1) for w in product(DEFAULT_LETTERS, repeat=n)
+    ]
 
 
 @dataclass(frozen=True)

@@ -357,14 +357,7 @@ def parse_expression(text: str) -> CompositionExpr:
 
 def render_expression(expr: CompositionExpr) -> str:
     """Minimal-parenthesis text that parses back to the identical tree."""
-
-    def precedence(node: CompositionExpr) -> int:
-        if isinstance(node, Parallel):
-            return 1
-        if isinstance(node, Concat):
-            return 2
-        return 3
-
+    precedence = {Parallel: 1, Concat: 2, Device: 3}
     # Each finished subtree's text waits on ``rendered`` until its parent
     # joins it.
     rendered: list[str] = []
@@ -373,12 +366,12 @@ def render_expression(expr: CompositionExpr) -> str:
             rendered.append(node.name)
             continue
         joiner = " ; " if isinstance(node, Concat) else " | "
-        mine = precedence(node)
+        mine = precedence[node.__class__]
         left = rendered.pop()
         right = rendered.pop()
-        if precedence(node.left) < mine:
+        if precedence[node.left.__class__] < mine:
             left = f"({left})"
-        if precedence(node.right) <= mine:  # right nesting must stay explicit
+        if precedence[node.right.__class__] <= mine:  # right nesting must stay explicit
             right = f"({right})"
         rendered.append(f"{left}{joiner}{right}")
     return rendered.pop()

@@ -207,20 +207,15 @@ def _owners(
     """The dotted position of the expression node that owns each state: the
     longest prefix of its namespace that is one of the ``positions`` (the
     root's, ``()``, is always one).  No position lies below a leaf, so any
-    deeper segments are the device's own internal structure.  Each
-    namespace is looked up once.
+    deeper segments are the device's own internal structure.
     """
-    by_namespace: dict[tuple[str, ...], str] = {}
     owners = {}
     for state_id in states:
         namespace = state_id.namespace
-        found = by_namespace.get(namespace)
-        if found is None:
-            depth = len(namespace)
-            while namespace[:depth] not in positions:
-                depth -= 1
-            found = by_namespace[namespace] = ".".join(namespace[:depth])
-        owners[state_id] = found
+        depth = len(namespace)
+        while namespace[:depth] not in positions:
+            depth -= 1
+        owners[state_id] = ".".join(namespace[:depth])
     return owners
 
 

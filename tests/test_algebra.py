@@ -1,6 +1,7 @@
 """Composition operators: renaming, sequential/parallel composites, elaboration."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -66,9 +67,17 @@ class TestInstantiate:
         nested = instantiate(instantiate(n1, "A"), "B")
         assert state("B.A.p0") in nested.states
 
-    @pytest.mark.parametrize("bad", ["", "a b", "a.b"])
-    def test_invalid_segment_rejected(self, n1, bad):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("", "namespace segment must be nonempty"),
+            ("a b", "namespace segment 'a b' contains whitespace"),
+            ("a.b", "namespace segment 'a.b' contains '.', the namespace separator"),
+        ],
+        ids=["", "a b", "a.b"],
+    )
+    def test_invalid_segment_rejected(self, n1, bad, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             instantiate(n1, bad)
 
 

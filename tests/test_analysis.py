@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from nfalgebra import (
     Automaton,
+    Dfa,
     EnumerationBoundError,
     accepts,
     concat,
@@ -191,6 +192,8 @@ class TestEnumerateLanguage:
         with pytest.raises(EnumerationBoundError):
             enumerate_language(n2, 11)
         assert enumerate_language(n2, 11, cap=11)  # explicit cap lifts it
+        with pytest.raises(ValueError, match="^max_len must be >= 0$"):
+            enumerate_language(n2, -1)
 
     @given(automata())
     @settings(max_examples=40)
@@ -208,3 +211,36 @@ class TestDfaToAutomaton:
         repacked = dfa_to_automaton(determinize(n1))
         assert equivalent(repacked, n1).equivalent
         assert {s.local for s in repacked.states} == {f"d{i}" for i in range(8)}
+
+    def test_unreachable_subsets_are_named_after_the_reachable_ones(self):
+        # Breadth-first from the initial subset, letters in order, names the
+        # reachable subsets first; the unreachable ones follow in sorted order.
+        s0, s1, s2 = state("s0"), state("s1"), state("s2")
+        start, after_a, after_b = (s2,), (s1,), (s0,)
+        low, high = (s0, s1), (s1, s2)
+        a, b = letter("a"), letter("b")
+        moves = {
+            start: (after_a, after_b),
+            after_a: (after_a, start),
+            after_b: (after_b, after_b),
+            high: (low, after_b),
+            low: (start, high),
+        }
+        transition = {
+            (subset, sym): target
+            for subset, targets in moves.items()
+            for sym, target in zip((a, b), targets)
+        }
+        dfa = Dfa({a, b}, moves, start, transition, {after_b, low})
+        order = [start, after_a, after_b, low, high]
+        name = {subset: state(f"d{i}") for i, subset in enumerate(order)}
+        assert dfa_to_automaton(dfa) == Automaton(
+            alphabet=frozenset({a, b}),
+            states=frozenset(name.values()),
+            initial=name[start],
+            transitions={
+                (name[source], sym): frozenset({name[target]})
+                for (source, sym), target in transition.items()
+            },
+            finals=frozenset({name[after_b], name[low]}),
+        )

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from nfalgebra import (
     EPSILON,
     Automaton,
+    RunWitness,
     StateId,
     Symbol,
     UnknownSymbolError,
@@ -53,6 +54,8 @@ class TestSymbol:
     def test_reserved_spelling_rejected(self):
         with pytest.raises(ValueError):
             Symbol("eps")
+        with pytest.raises(ValueError, match="use EPSILON for the empty string"):
+            letter(None)
 
     # '#' would render as a comment and ',' splits input words.
     @pytest.mark.parametrize("bad", ["", "a b", "a\tb", "x\n", "x#y", "a,b"])
@@ -377,6 +380,26 @@ class TestWitness:
             assert check_witness(automaton, run, input_word) == []
         else:
             assert run is None
+
+    # Broken runs of N1, one per problem ``check_witness`` can report; the
+    # input is the run's erased word except in the case about that.
+    @pytest.mark.parametrize(
+        "states,symbols,input_text,problems",
+        [
+            ("", "", "", ["witness has no states"]),
+            ("p0 p1", "", "b", ["states and symbols have mismatched lengths"]),
+            ("p1 p2 p3", "aa", "aa", ["run starts at p1, not the initial state"]),
+            ("p0 p2 p3", "ba", "ba", ["illegal move p0 -b-> p2"]),
+            ("p0 p1 p2", "ba", "ba", ["run does not end in a final state"]),
+            ("p0 p1 p2 p3", "baa", "bab", ["erased symbols do not match the input"]),
+        ],
+        ids=["empty", "lengths", "start", "move", "end", "input"],
+    )
+    def test_check_witness_names_each_problem(
+        self, n1, states, symbols, input_text, problems
+    ):
+        run = RunWitness(tuple(map(state, states.split())), word(symbols))
+        assert check_witness(n1, run, word(input_text)) == problems
 
 
 class TestOracleAgreement:

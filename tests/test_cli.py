@@ -142,6 +142,15 @@ class TestAccept:
         status, _, check_err = run(capsys, "check", str(bad))
         assert (status, check_err) == (2, err)
 
+    def test_duplicate_device_name_names_the_second_file(self, capsys, tmp_path):
+        copy = tmp_path / "copy.nfa"
+        copy.write_text(Path(N1).read_text(encoding="utf-8"), encoding="utf-8")
+        code, out, err = run(
+            capsys, "accept", "-d", N1, str(copy), "-e", "N1", "-i", "a"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {copy}: duplicate device name 'N1'\n"
+
     def test_missing_device_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "accept", "-d", str(tmp_path / "ghost.nfa"), "-e", "N1", "-i", "a"

@@ -2,13 +2,16 @@
 
 import dataclasses
 import random
+import textwrap
 
 from nfalgebra import (
     EPSILON,
     Concat,
     elaborate,
     parse_expression,
+    render_automaton,
     render_expression,
+    run_cli,
     validate,
 )
 from nfalgebra import properties
@@ -102,6 +105,24 @@ class TestClosureSuite:
         result = run_closure_suite(42, 50)
         assert not result.ok
         assert {failure.law for failure in result.failures} == {"concat"}
+
+    def test_cli_reports_the_first_failure_and_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(properties, "elaborate", without_bridges)
+        assert run_cli(["props", "--seed", "3", "--cases", "4"]) == 1
+        out, err = capsys.readouterr()
+        # Each case draws its left operand, then its right one.
+        rng = random.Random(3)
+        left, right = [random_automaton(rng) for _ in range(8)][6:]
+        assert err == ""
+        assert out == (
+            "seed 3 cases 4 max-len 6\n"
+            "failures 99\n"
+            "first failure: case 3 law concat word ab composite=false oracle=true\n"
+            "left operand:\n"
+            + textwrap.indent(render_automaton(left, "left"), "  ")
+            + "right operand:\n"
+            + textwrap.indent(render_automaton(right, "right"), "  ")
+        )
 
     def test_a_dropped_fork_edge_fails_the_parallel_law_on_each_word(
         self, monkeypatch
