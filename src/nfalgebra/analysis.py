@@ -3,17 +3,17 @@
 Subset construction, language equivalence with counterexamples, and
 bounded enumeration, all on the automaton's cached integer kernel; an
 automaton that ``validate`` rejects raises ``InvalidAutomatonError`` when
-its kernel is compiled.  A ``Dfa`` is a table to inspect, or to repackage
-as an ordinary automaton with ``dfa_to_automaton``; words are run with
-``accepts``, on the kernel, not on the table.
+its kernel is compiled.  A ``Dfa`` is an indexed table: its subsets in
+the order the subset construction found them, and one row of successor
+indices per subset.  It is there to inspect, or to repackage as an
+ordinary automaton with ``dfa_to_automaton``, which names row ``i`` as
+``d{i}``; words are run with ``accepts``, on the kernel, not on the table.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 from . import _EXPORTS
 from .automaton import (
@@ -38,24 +38,44 @@ class EnumerationBoundError(ValueError):
 
 @dataclass(frozen=True)
 class Dfa:
-    """Deterministic view of an automaton over canonical subset states.
+    """Deterministic view of an automaton as an indexed table.
 
-    ``transition`` is total over ``states`` x ``alphabet``; the empty subset
-    is the sink and appears among the states only when it is reachable.  A
-    subset state is final iff it contains a final state of the source.
+    ``states[0]`` is the initial subset.  Row ``i`` of ``transition`` holds
+    state ``i``'s successor index on each letter of ``alphabet``, in
+    ``symbol_key`` order, so the table is total; ``finals`` holds the
+    indices of the final states.  ``determinize`` lists only reachable
+    subsets, in breadth-first discovery order with letters in canonical
+    order, and makes a subset final iff it contains a final state of the
+    source.  The empty subset is the sink and appears among the states
+    only when it is reachable.
+
+    A table that does not fit its states and alphabet raises ``ValueError``
+    naming the first problem found: no states, a row count or row width
+    that is off, or a target or final outside ``range(len(states))``.
     """
 
     alphabet: frozenset[Symbol]
-    states: frozenset[SubsetState]
-    initial: SubsetState
-    transition: Mapping[tuple[SubsetState, Symbol], SubsetState]
-    finals: frozenset[SubsetState]
+    states: tuple[SubsetState, ...]
+    transition: tuple[tuple[int, ...], ...]
+    finals: frozenset[int]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alphabet", frozenset(self.alphabet))
-        object.__setattr__(self, "states", frozenset(self.states))
+        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "transition", tuple(map(tuple, self.transition)))
         object.__setattr__(self, "finals", frozenset(self.finals))
-        object.__setattr__(self, "transition", MappingProxyType(dict(self.transition)))
+        rows, count, width = self.transition, len(self.states), len(self.alphabet)
+        if not count:
+            raise ValueError("a Dfa needs at least one state")
+        if len(rows) != count:
+            raise ValueError(f"{len(rows)} transition rows for {count} states")
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                raise ValueError(f"row {i} has {len(row)} targets for {width} letters")
+        for kind, indices in (("target", set().union(*rows)), ("final", self.finals)):
+            outside = sorted(indices.difference(range(count)))
+            if outside:
+                raise ValueError(f"{kind} {outside[0]} is outside range({count})")
 
 
 @dataclass(frozen=True)
@@ -74,32 +94,30 @@ def determinize(automaton: Automaton) -> Dfa:
     """Subset construction.
 
     Starts from the closure of the initial state and keeps only reachable
-    subset states; the empty sink shows up exactly when some move reaches
-    it.  The result accepts the same language as the input.
+    subset states, each numbered in the order it is found; the empty sink
+    shows up exactly when some move reaches it.  The result accepts the
+    same language as the input.
     """
     kernel = _kernel(automaton)
-    subsets = {kernel.start: kernel.subset(kernel.start)}
-    table: dict[tuple[SubsetState, Symbol], SubsetState] = {}
-    finals: set[SubsetState] = set()
-    queue: deque[int] = deque([kernel.start])
-    while queue:
-        mask = queue.popleft()
-        here = subsets[mask]
-        if mask & kernel.finals:
-            finals.add(here)
-        for k, sym in enumerate(kernel.letters):
+    masks = [kernel.start]
+    index = {kernel.start: 0}
+    rows: list[list[int]] = []
+    letters = range(len(kernel.letters))
+    for mask in masks:  # grows as subsets are found: a breadth-first queue
+        row = []
+        for k in letters:
             successor = kernel.advance(mask, k)
-            there = subsets.get(successor)
-            if there is None:
-                there = subsets[successor] = kernel.subset(successor)
-                queue.append(successor)
-            table[(here, sym)] = there
+            target = index.get(successor)
+            if target is None:
+                target = index[successor] = len(masks)
+                masks.append(successor)
+            row.append(target)
+        rows.append(row)
     return Dfa(
         automaton.alphabet,
-        frozenset(subsets.values()),
-        subsets[kernel.start],
-        table,
-        frozenset(finals),
+        tuple(map(kernel.subset, masks)),
+        rows,
+        frozenset(i for i, mask in enumerate(masks) if mask & kernel.finals),
     )
 
 
@@ -180,30 +198,22 @@ def enumerate_language(
 def dfa_to_automaton(dfa: Dfa) -> Automaton:
     """Repackage a Dfa as an ordinary automaton with compact state names.
 
-    Subset states are renamed ``d0, d1, ...`` in breadth-first order from
-    the initial state (letters in canonical order), so the output is stable
-    and parses back from its canonical rendering.
+    Row ``i`` is named ``d{i}``.  For a ``determinize`` result that is
+    breadth-first order from the initial state, letters in canonical
+    order, so the output is stable and parses back from its canonical
+    rendering.
     """
     letters = sorted(dfa.alphabet, key=symbol_key)
-    names: dict[SubsetState, StateId] = {dfa.initial: StateId((), "d0")}
-    order: deque[SubsetState] = deque([dfa.initial])
-    while order:
-        current = order.popleft()
-        for sym in letters:
-            successor = dfa.transition[(current, sym)]
-            if successor not in names:
-                names[successor] = StateId((), f"d{len(names)}")
-                order.append(successor)
-    for leftover in sorted(dfa.states - names.keys()):
-        names[leftover] = StateId((), f"d{len(names)}")
-    transitions = {
-        (names[source], sym): frozenset({names[target]})
-        for (source, sym), target in dfa.transition.items()
-    }
+    names = [StateId((), f"d{i}") for i in range(len(dfa.states))]
+    singletons = [frozenset({name}) for name in names]
     return Automaton(
         alphabet=dfa.alphabet,
-        states=frozenset(names.values()),
-        initial=names[dfa.initial],
-        transitions=transitions,
-        finals=frozenset(names[s] for s in dfa.finals if s in names),
+        states=frozenset(names),
+        initial=names[0],
+        transitions={
+            (names[i], sym): singletons[target]
+            for i, row in enumerate(dfa.transition)
+            for sym, target in zip(letters, row)
+        },
+        finals=frozenset(names[i] for i in dfa.finals),
     )

@@ -117,15 +117,15 @@ def step(
 
 
 def dfa_accepts(dfa: Dfa, input_word: Iterable[Symbol]) -> bool:
-    """Walk the total transition table; no search involved."""
-    current = dfa.initial
+    """Walk the total transition table row by row; no search involved."""
+    column = {sym: k for k, sym in enumerate(sorted(dfa.alphabet, key=symbol_key))}
+    current = 0
     for symbol in input_word:
-        key = (current, symbol)
-        if key not in dfa.transition:
+        if symbol not in column:
             raise UnknownSymbolError(
                 f"symbol {symbol} is not a letter of the alphabet"
             )
-        current = dfa.transition[key]
+        current = dfa.transition[current][column[symbol]]
     return current in dfa.finals
 
 
@@ -206,24 +206,25 @@ def reference_witness(automaton: Automaton, input_word: Word) -> RunWitness | No
 
 
 def reference_determinize(automaton: Automaton) -> Dfa:
-    """Subset construction over sorted tuples of states, one ``step`` per move."""
+    """Subset construction over sorted tuples of states, one ``step`` per
+    move, numbering each subset when the queue first meets it."""
     letters = automaton.letters()
     initial = tuple(sorted(epsilon_closure(automaton, (automaton.initial,))))
-    table = {}
-    finals = set()
-    seen = {initial}
+    numbers = {initial: 0}
+    rows = []
     queue = deque([initial])
     while queue:
         subset = queue.popleft()
-        if not automaton.finals.isdisjoint(subset):
-            finals.add(subset)
+        row = []
         for sym in letters:
             successor = tuple(sorted(step(automaton, subset, sym)))
-            table[(subset, sym)] = successor
-            if successor not in seen:
-                seen.add(successor)
+            if successor not in numbers:
+                numbers[successor] = len(numbers)
                 queue.append(successor)
-    return Dfa(automaton.alphabet, frozenset(seen), initial, table, frozenset(finals))
+            row.append(numbers[successor])
+        rows.append(row)
+    finals = [n for s, n in numbers.items() if not automaton.finals.isdisjoint(s)]
+    return Dfa(automaton.alphabet, list(numbers), rows, finals)
 
 
 class AlphabetMismatchError(ValueError):
@@ -236,41 +237,38 @@ def product(
     """Synchronous product of two DFAs over the same alphabet.
 
     A pair state is final iff ``combine(left-final?, right-final?)``.  Pair
-    states are encoded by tagging each side's members with an L/R namespace
-    and taking the union, which keeps the result an ordinary Dfa.
+    states are numbered in breadth-first order from ``(0, 0)`` and labelled
+    by tagging each side's members with an L/R namespace and taking the
+    union, which keeps the result an ordinary Dfa.
     """
     if left.alphabet != right.alphabet:
         raise AlphabetMismatchError(
             "product requires identical alphabets; pad to the union first"
         )
-    letters = sorted(left.alphabet, key=symbol_key)
+    columns = range(len(left.alphabet))
 
-    def encode(ls: SubsetState, rs: SubsetState) -> SubsetState:
-        tagged = [StateId(("L", *s.namespace), s.local) for s in ls]
-        tagged += [StateId(("R", *s.namespace), s.local) for s in rs]
+    def encode(ls: int, rs: int) -> SubsetState:
+        tagged = [StateId(("L", *s.namespace), s.local) for s in left.states[ls]]
+        tagged += [StateId(("R", *s.namespace), s.local) for s in right.states[rs]]
         return tuple(sorted(tagged))
 
-    start = (left.initial, right.initial)
-    table: dict[tuple[SubsetState, Symbol], SubsetState] = {}
-    states: set[SubsetState] = set()
-    finals: set[SubsetState] = set()
-    seen: set[tuple[SubsetState, SubsetState]] = {start}
-    queue: deque[tuple[SubsetState, SubsetState]] = deque([start])
+    numbers: dict[tuple[int, int], int] = {(0, 0): 0}
+    rows: list[list[int]] = []
+    finals: set[int] = set()
+    queue: deque[tuple[int, int]] = deque([(0, 0)])
     while queue:
-        ls, rs = queue.popleft()
-        here = encode(ls, rs)
-        states.add(here)
+        ls, rs = pair = queue.popleft()
         if combine(ls in left.finals, rs in right.finals):
-            finals.add(here)
-        for sym in letters:
-            successor = (left.transition[(ls, sym)], right.transition[(rs, sym)])
-            table[(here, sym)] = encode(*successor)
-            if successor not in seen:
-                seen.add(successor)
+            finals.add(numbers[pair])
+        row = []
+        for k in columns:
+            successor = (left.transition[ls][k], right.transition[rs][k])
+            if successor not in numbers:
+                numbers[successor] = len(numbers)
                 queue.append(successor)
-    return Dfa(
-        left.alphabet, frozenset(states), encode(*start), table, frozenset(finals)
-    )
+            row.append(numbers[successor])
+        rows.append(row)
+    return Dfa(left.alphabet, [encode(*pair) for pair in numbers], rows, finals)
 
 
 def is_empty(dfa: Dfa) -> Word | None:
@@ -281,14 +279,13 @@ def is_empty(dfa: Dfa) -> Word | None:
     among the shortest.
     """
     letters = sorted(dfa.alphabet, key=symbol_key)
-    reached: dict[SubsetState, Word] = {dfa.initial: ()}
-    queue: deque[SubsetState] = deque([dfa.initial])
+    reached: dict[int, Word] = {0: ()}
+    queue: deque[int] = deque([0])
     while queue:
         current = queue.popleft()
         if current in dfa.finals:
             return reached[current]
-        for sym in letters:
-            successor = dfa.transition[(current, sym)]
+        for sym, successor in zip(letters, dfa.transition[current]):
             if successor not in reached:
                 reached[successor] = reached[current] + (sym,)
                 queue.append(successor)

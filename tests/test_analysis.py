@@ -48,7 +48,7 @@ class TestDeterminize:
     def test_bundled_device_with_branching(self, n2):
         dfa = determinize(n2)
         assert local_subsets(dfa) == {("q0",), ("q0", "q1"), ("q1",), ()}
-        assert dfa.initial == (state("q0"),)
+        assert dfa.states[0] == (state("q0"),)
 
     def test_three_letter_memory_needs_eight_subsets(self, n1):
         assert len(determinize(n1).states) == 8
@@ -70,9 +70,10 @@ class TestDeterminize:
     @settings(max_examples=60)
     def test_table_is_total_and_language_preserved(self, automaton):
         dfa = determinize(automaton)
-        for subset in dfa.states:
-            for sym in dfa.alphabet:
-                assert (subset, sym) in dfa.transition
+        assert len(dfa.transition) == len(dfa.states)
+        for row in dfa.transition:
+            assert len(row) == len(dfa.alphabet)
+            assert all(0 <= target < len(dfa.states) for target in row)
         for input_word in all_words(max_len=4):
             assert dfa_accepts(dfa, input_word) == accepts(automaton, input_word)
 
@@ -212,35 +213,66 @@ class TestDfaToAutomaton:
         assert equivalent(repacked, n1).equivalent
         assert {s.local for s in repacked.states} == {f"d{i}" for i in range(8)}
 
-    def test_unreachable_subsets_are_named_after_the_reachable_ones(self):
-        # Breadth-first from the initial subset, letters in order, names the
-        # reachable subsets first; the unreachable ones follow in sorted order.
+    def test_unreachable_rows_are_named_by_row_index(self):
+        # Row i is named d{i}, reachable from row 0 or not: here rows 3 and
+        # 4 are reached from nowhere and keep their places.
         s0, s1, s2 = state("s0"), state("s1"), state("s2")
-        start, after_a, after_b = (s2,), (s1,), (s0,)
-        low, high = (s0, s1), (s1, s2)
         a, b = letter("a"), letter("b")
-        moves = {
-            start: (after_a, after_b),
-            after_a: (after_a, start),
-            after_b: (after_b, after_b),
-            high: (low, after_b),
-            low: (start, high),
-        }
-        transition = {
-            (subset, sym): target
-            for subset, targets in moves.items()
-            for sym, target in zip((a, b), targets)
-        }
-        dfa = Dfa({a, b}, moves, start, transition, {after_b, low})
-        order = [start, after_a, after_b, low, high]
-        name = {subset: state(f"d{i}") for i, subset in enumerate(order)}
+        subsets = [(s2,), (s1,), (s0,), (s0, s1), (s1, s2)]
+        rows = [(1, 2), (1, 0), (2, 2), (0, 4), (3, 2)]
+        dfa = Dfa({a, b}, subsets, rows, {2, 3})
+        name = [state(f"d{i}") for i in range(5)]
         assert dfa_to_automaton(dfa) == Automaton(
             alphabet=frozenset({a, b}),
-            states=frozenset(name.values()),
-            initial=name[start],
+            states=frozenset(name),
+            initial=name[0],
             transitions={
                 (name[source], sym): frozenset({name[target]})
-                for (source, sym), target in transition.items()
+                for source, row in enumerate(rows)
+                for sym, target in zip((a, b), row)
             },
-            finals=frozenset({name[after_b], name[low]}),
+            finals=frozenset({name[2], name[3]}),
         )
+
+    @given(automata())
+    @settings(max_examples=30)
+    def test_result_is_deterministic_and_equivalent(self, automaton):
+        repacked = dfa_to_automaton(determinize(automaton))
+        assert repacked.initial == state("d0")
+        assert all(not sym.is_epsilon for _, sym in repacked.transitions)
+        for source in repacked.states:
+            for sym in repacked.alphabet:
+                assert len(repacked.targets(source, sym)) == 1
+        assert equivalent(repacked, automaton).equivalent
+
+
+S0, S1 = (state("s0"),), (state("s1"),)
+
+
+class TestDfaTable:
+    @pytest.mark.parametrize(
+        ("states", "transition", "finals", "message"),
+        [
+            ([], [], [], "a Dfa needs at least one state"),
+            ([S0, S1], [(0, 0)], [], "1 transition rows for 2 states"),
+            ([S0, S1], [(0, 1), (1,)], [], "row 1 has 1 targets for 2 letters"),
+            ([S0], [(0, 0, 0)], [], "row 0 has 3 targets for 2 letters"),
+            ([S0, S1], [(0, 1), (2, 0)], [], r"target 2 is outside range\(2\)"),
+            ([S0, S1], [(0, -1), (1, 1)], [], r"target -1 is outside range\(2\)"),
+            ([S0, S1], [(0, 1), (1, 1)], [1, 2], r"final 2 is outside range\(2\)"),
+            ([S0], [(0, 0)], [-1], r"final -1 is outside range\(1\)"),
+        ],
+        ids=[
+            "no-states",
+            "row-count",
+            "short-row",
+            "long-row",
+            "target-past-end",
+            "negative-target",
+            "final-past-end",
+            "negative-final",
+        ],
+    )
+    def test_inconsistent_table_is_rejected(self, states, transition, finals, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Dfa({letter("a"), letter("b")}, states, transition, finals)
