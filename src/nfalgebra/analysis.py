@@ -3,25 +3,44 @@
 Subset construction, language equivalence with counterexamples, and
 bounded enumeration, all on the automaton's cached integer kernel; an
 automaton that ``validate`` rejects raises ``InvalidAutomatonError`` when
-its kernel is compiled.  A ``Dfa`` is an indexed table: its subsets in
-the order the subset construction found them, and one row of successor
-indices per subset.  It is there to inspect, or to repackage as an
-ordinary automaton with ``dfa_to_automaton``, which names row ``i`` as
-``d{i}``; words are run with ``accepts``, on the kernel, not on the table.
+its kernel is compiled.  The two subset searches, ``determinize`` and
+``equivalent``, step a subset through chunk tables that each call builds
+from the kernel's successor rows, after Navarro and Raffinot's compact
+DFA representation: per letter, one table for each 8-bit chunk of the
+state mask maps the chunk's value to the union of its states' closed
+successors, so a step costs one lookup and one ``|`` per chunk however
+many states are set.  ``determinize`` builds each subset's tuple of
+states the same way, from tables of sorted tuples joined with ``+``.
+Above 24 states a step visits the set bits one by one, since the tables
+would cost 256 entries per chunk and letter however few subsets the
+search visits.  ``enumerate_language`` steps bit by bit too, with a memo:
+the property suite runs it on hundreds of automata of at most 9 states,
+where building tables costs more than the few steps save.  A ``Dfa`` is
+an indexed table: its subsets in the order the subset construction found
+them, and one row of successor indices per subset.  It is there to
+inspect, or to repackage as an ordinary automaton with
+``dfa_to_automaton``, which names row ``i`` as ``d{i}``; words are run
+with ``accepts``, on the kernel, not on the table.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from operator import add, or_
+from typing import Callable, Sequence, TypeVar
 
 from . import _EXPORTS
 from .automaton import (
+    EPSILON,
     Automaton,
     InvalidAutomatonError,
     StateId,
     Symbol,
     Word,
+    _bits,
+    _gather,
     _kernel,
     _on_union_alphabet,
     symbol_key,
@@ -50,8 +69,9 @@ class Dfa:
     only when it is reachable.
 
     A table that does not fit its states and alphabet raises ``ValueError``
-    naming the first problem found: no states, a row count or row width
-    that is off, or a target or final outside ``range(len(states))``.
+    naming the first problem found: the empty-string symbol in the
+    alphabet, no states, a row count or row width that is off, or a target
+    or final outside ``range(len(states))``.
     """
 
     alphabet: frozenset[Symbol]
@@ -65,6 +85,8 @@ class Dfa:
         object.__setattr__(self, "transition", tuple(map(tuple, self.transition)))
         object.__setattr__(self, "finals", frozenset(self.finals))
         rows, count, width = self.transition, len(self.states), len(self.alphabet)
+        if EPSILON in self.alphabet:
+            raise ValueError("the alphabet holds the empty-string symbol")
         if not count:
             raise ValueError("a Dfa needs at least one state")
         if len(rows) != count:
@@ -90,6 +112,72 @@ class EquivalenceVerdict:
     counterexample: Word | None
 
 
+_T = TypeVar("_T")
+
+
+def _lookup(
+    units: Sequence[_T], empty: _T, join: Callable[[_T, _T], _T]
+) -> Callable[[int], _T]:
+    """The join of ``units[i]`` over the set bits ``i`` of a mask, in
+    ascending order, through one table per 8-bit chunk of the mask.
+
+    Entry ``v`` of a chunk's table joins the units of the set bits of
+    ``v``.  Each table doubles once per bit of its chunk, one ``join`` per
+    new entry, so a chunk of ``w`` bits costs ``2**w`` entries.  A lookup
+    then costs one index and one ``join`` per chunk, however many bits are
+    set.  One and two chunks, up to 16 units, have their own forms, which
+    step faster than the loop that more chunks take.
+    """
+    tables = []
+    for base in range(0, len(units), 8):
+        table = [empty]
+        for unit in units[base : base + 8]:
+            table += [join(x, unit) for x in table]
+        tables.append(table)
+    if len(tables) == 1:
+        return tables[0].__getitem__
+    if len(tables) == 2:
+        low, high = tables
+        return lambda mask: join(low[mask & 255], high[mask >> 8])
+
+    def chunked(mask: int) -> _T:
+        out = empty
+        for table in tables:
+            out = join(out, table[mask & 255])
+            mask >>= 8
+        return out
+
+    return chunked
+
+
+# The most states a kernel may have for its searches to use chunk tables.
+# Tables cost 256 entries per chunk and letter, each as wide as the state
+# mask, however few subsets the search then visits: on the 4096-state DFA
+# of T_12, whose subsets each hold one state, they made ``determinize``
+# about 30 times slower and its memory peak 35 times higher.  Larger
+# kernels step bit by bit.
+_TABLE_STATES = 24
+
+
+def _steps(successors: list[list[int]]) -> list[Callable[[int], int]]:
+    """The closed successor of a closed mask on each letter, from a
+    kernel's ``successors`` rows: through chunk tables built on each call,
+    or bit by bit above ``_TABLE_STATES`` states."""
+    return [
+        _lookup(row, 0, or_) if len(row) <= _TABLE_STATES else partial(_gather, row)
+        for row in successors
+    ]
+
+
+def _subsets(states: tuple[StateId, ...]) -> Callable[[int], SubsetState]:
+    """A mask of a kernel's ``states`` as the sorted tuple of its states:
+    through chunk tables of tuples joined with ``+``, or bit by bit above
+    ``_TABLE_STATES`` states."""
+    if len(states) <= _TABLE_STATES:
+        return _lookup([(s,) for s in states], (), add)
+    return lambda mask: tuple(states[i] for i in _bits(mask))
+
+
 def determinize(automaton: Automaton) -> Dfa:
     """Subset construction.
 
@@ -99,14 +187,14 @@ def determinize(automaton: Automaton) -> Dfa:
     same language as the input.
     """
     kernel = _kernel(automaton)
+    steps = _steps(kernel.successors)
     masks = [kernel.start]
     index = {kernel.start: 0}
     rows: list[list[int]] = []
-    letters = range(len(kernel.letters))
     for mask in masks:  # grows as subsets are found: a breadth-first queue
         row = []
-        for k in letters:
-            successor = kernel.advance(mask, k)
+        for step in steps:
+            successor = step(mask)
             target = index.get(successor)
             if target is None:
                 target = index[successor] = len(masks)
@@ -115,7 +203,7 @@ def determinize(automaton: Automaton) -> Dfa:
         rows.append(row)
     return Dfa(
         automaton.alphabet,
-        tuple(map(kernel.subset, masks)),
+        tuple(map(_subsets(kernel.states), masks)),
         rows,
         frozenset(i for i, mask in enumerate(masks) if mask & kernel.finals),
     )
@@ -133,6 +221,7 @@ def equivalent(a: Automaton, b: Automaton) -> EquivalenceVerdict:
     lexicographically least among the shortest.
     """
     left, right = map(_kernel, _on_union_alphabet(a, b))
+    moves = list(enumerate(zip(_steps(left.successors), _steps(right.successors))))
     start = (left.start, right.start)
     parents: dict[tuple[int, int], tuple[tuple[int, int], int] | None]
     parents = {start: None}
@@ -146,8 +235,8 @@ def equivalent(a: Automaton, b: Automaton) -> EquivalenceVerdict:
                 pair, k = back
                 letters.append(left.letters[k])
             return EquivalenceVerdict(False, tuple(reversed(letters)))
-        for k in range(len(left.letters)):
-            successor = (left.advance(ls, k), right.advance(rs, k))
+        for k, (step_left, step_right) in moves:
+            successor = (step_left(ls), step_right(rs))
             if successor not in parents:
                 parents[successor] = (pair, k)
                 queue.append(successor)
@@ -188,7 +277,7 @@ def enumerate_language(
                 known = memo[k]
                 successor = known.get(mask)
                 if successor is None:
-                    successor = known[mask] = kernel.advance(mask, k)
+                    successor = known[mask] = _gather(kernel.successors[k], mask)
                 if successor:
                     following.append((w + (sym,), successor))
         level = following

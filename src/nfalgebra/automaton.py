@@ -474,14 +474,6 @@ class _Kernel:
         """The empty-string closure of a set of states."""
         return _gather(self.closure, mask)
 
-    def advance(self, mask: int, letter_index: int) -> int:
-        """The closed successor of a closed frontier on one letter."""
-        return _gather(self.successors[letter_index], mask)
-
-    def subset(self, mask: int) -> tuple[StateId, ...]:
-        """A set of states as a sorted tuple."""
-        return tuple(self.states[i] for i in _bits(mask))
-
     def indices(self, input_word: Word) -> list[int]:
         """Letter indices of a word; this lookup is the alphabet check."""
         index = self.letter_index

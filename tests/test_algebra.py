@@ -12,6 +12,7 @@ from nfalgebra import (
     Automaton,
     Concat,
     Device,
+    EquivalenceVerdict,
     InvalidDeviceError,
     Parallel,
     StateClashError,
@@ -38,8 +39,8 @@ from nfalgebra import automaton as automaton_module
 from nfalgebra.properties import random_automaton, run_closure_suite
 
 from .conftest import DEEP_LEAVES
-from .oracles import reference_elaborate
-from .strategies import automata, expressions, leaf_devices as leaf_automata
+from .oracles import reference_elaborate, reference_equivalent
+from .strategies import LETTERS, automata, expressions, leaf_devices as leaf_automata
 
 A = letter("a")
 
@@ -292,6 +293,62 @@ class TestElaborate:
         assert len(subexpressions(expr)) == 2 * DEEP_LEAVES - 1
 
 
+X, Y, Z = Device("X"), Device("Y"), Device("Z")
+ZERO, ONE = Device("Zero"), Device("One")
+
+# Both sides of each equation of the idempotent semiring the operators
+# form: ``|`` is the sum, ``;`` the product, Zero (no final state) the
+# zero and One (accepting only the empty word) the unit.
+LAWS = {
+    "par-idempotent": (Parallel(X, X), X),
+    "left-distributive": (
+        Concat(X, Parallel(Y, Z)),
+        Parallel(Concat(X, Y), Concat(X, Z)),
+    ),
+    "right-distributive": (
+        Concat(Parallel(X, Y), Z),
+        Parallel(Concat(X, Z), Concat(Y, Z)),
+    ),
+    "zero-par-unit": (Parallel(X, ZERO), X),
+    "zero-left": (Concat(ZERO, X), ZERO),
+    "zero-right": (Concat(X, ZERO), ZERO),
+    "one-left": (Concat(ONE, X), X),
+    "one-right": (Concat(X, ONE), X),
+}
+# Equations the algebra does not have.
+NON_LAWS = {
+    "cat-commutative": (Concat(X, Y), Concat(Y, X)),
+    "cat-idempotent": (Concat(X, X), X),
+}
+
+
+def law_env(rng: random.Random) -> dict[str, Automaton]:
+    """Three random devices X, Y, Z, and the Zero and One devices."""
+    s0 = state("s0")
+    lone = dict(
+        alphabet=frozenset(LETTERS), states=frozenset({s0}), initial=s0, transitions={}
+    )
+    env = {name: random_automaton(rng) for name in "XYZ"}
+    env["Zero"] = Automaton(**lone, finals=frozenset())
+    env["One"] = Automaton(**lone, finals=frozenset({s0}))
+    return env
+
+
+def sides(equation, env):
+    return [elaborate(side, env) for side in equation]
+
+
+def check_verdict(left: Automaton, right: Automaton) -> EquivalenceVerdict:
+    """``equivalent``'s verdict, which must be the reference's, with a
+    counterexample that exactly one side accepts."""
+    verdict = equivalent(left, right)
+    assert verdict == reference_equivalent(left, right)
+    if not verdict.equivalent:
+        counterexample = verdict.counterexample
+        assert accepts(left, counterexample) != accepts(right, counterexample)
+    return verdict
+
+
 class TestCompositionLaws:
     @given(automata(), automata())
     @settings(max_examples=60)
@@ -324,6 +381,33 @@ class TestCompositionLaws:
                 parallel(instantiate(parallel(x, y), "I"), instantiate(z, "J")),
                 parallel(instantiate(x, "I"), instantiate(parallel(y, z), "J")),
             ).equivalent
+
+    @pytest.mark.parametrize("law", LAWS)
+    @given(rng=st.randoms(use_true_random=False))
+    @settings(max_examples=20, deadline=None)
+    def test_semiring_laws_hold(self, law, rng):
+        left, right = sides(LAWS[law], law_env(rng))
+        assert equivalent(left, right) == EquivalenceVerdict(True, None)
+
+    @pytest.mark.parametrize("law", NON_LAWS)
+    def test_non_laws_give_the_least_counterexample(self, law):
+        # Random devices seldom break these, so the loop is long and must
+        # meet at least one that does.
+        rng = random.Random(17)
+        verdicts = [
+            check_verdict(*sides(NON_LAWS[law], law_env(rng))) for _ in range(150)
+        ]
+        assert not all(verdict.equivalent for verdict in verdicts)
+
+    @pytest.mark.parametrize(
+        ("law", "counterexample"),
+        [("cat-commutative", "abaa"), ("cat-idempotent", "baa")],
+    )
+    def test_non_laws_fail_on_the_bundled_devices(
+        self, n1, n2, law, counterexample
+    ):
+        verdict = check_verdict(*sides(NON_LAWS[law], {"X": n1, "Y": n2}))
+        assert verdict == EquivalenceVerdict(False, word(counterexample))
 
     def test_instantiation_invariance(self, n1):
         assert equivalent(n1, instantiate(n1, "X")).equivalent

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from nfalgebra import (
+    EPSILON,
     Automaton,
     Dfa,
     EnumerationBoundError,
@@ -249,18 +250,28 @@ class TestDfaToAutomaton:
 S0, S1 = (state("s0"),), (state("s1"),)
 
 
+AB = {letter("a"), letter("b")}
+
+
 class TestDfaTable:
     @pytest.mark.parametrize(
-        ("states", "transition", "finals", "message"),
+        ("alphabet", "states", "transition", "finals", "message"),
         [
-            ([], [], [], "a Dfa needs at least one state"),
-            ([S0, S1], [(0, 0)], [], "1 transition rows for 2 states"),
-            ([S0, S1], [(0, 1), (1,)], [], "row 1 has 1 targets for 2 letters"),
-            ([S0], [(0, 0, 0)], [], "row 0 has 3 targets for 2 letters"),
-            ([S0, S1], [(0, 1), (2, 0)], [], r"target 2 is outside range\(2\)"),
-            ([S0, S1], [(0, -1), (1, 1)], [], r"target -1 is outside range\(2\)"),
-            ([S0, S1], [(0, 1), (1, 1)], [1, 2], r"final 2 is outside range\(2\)"),
-            ([S0], [(0, 0)], [-1], r"final -1 is outside range\(1\)"),
+            (AB, [], [], [], "a Dfa needs at least one state"),
+            (AB, [S0, S1], [(0, 0)], [], "1 transition rows for 2 states"),
+            (AB, [S0, S1], [(0, 1), (1,)], [], "row 1 has 1 targets for 2 letters"),
+            (AB, [S0], [(0, 0, 0)], [], "row 0 has 3 targets for 2 letters"),
+            (AB, [S0, S1], [(0, 1), (2, 0)], [], r"target 2 is outside range\(2\)"),
+            (AB, [S0, S1], [(0, -1), (1, 1)], [], r"target -1 is outside range\(2\)"),
+            (AB, [S0, S1], [(0, 1), (1, 1)], [1, 2], r"final 2 is outside range\(2\)"),
+            (AB, [S0], [(0, 0)], [-1], r"final -1 is outside range\(1\)"),
+            (
+                {EPSILON, letter("a")},
+                [()],
+                [(0, 0)],
+                [0],
+                "the alphabet holds the empty-string symbol",
+            ),
         ],
         ids=[
             "no-states",
@@ -271,8 +282,11 @@ class TestDfaTable:
             "negative-target",
             "final-past-end",
             "negative-final",
+            "epsilon-letter",
         ],
     )
-    def test_inconsistent_table_is_rejected(self, states, transition, finals, message):
+    def test_inconsistent_table_is_rejected(
+        self, alphabet, states, transition, finals, message
+    ):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            Dfa({letter("a"), letter("b")}, states, transition, finals)
+            Dfa(alphabet, states, transition, finals)

@@ -9,6 +9,10 @@ touches the kernel.  ``witness`` searches only the configurations that a
 backward pass marks live; ``TestWitnessPruning`` checks that this leaves
 every run as the reference finds it.  Compiling is the one validity gate:
 every operation that simulates rejects an automaton ``validate`` rejects.
+The subset searches step subsets through 8-bit chunk tables up to 24
+states and bit by bit above; ``TestChunkTables`` takes them across the
+chunk boundaries and that bound, which the four-state ``automata()`` never
+reach.
 """
 
 import random
@@ -23,9 +27,11 @@ from nfalgebra import (
     EPSILON,
     Automaton,
     InvalidAutomatonError,
+    StateId,
     UnknownSymbolError,
     accepts,
     determinize,
+    dfa_to_automaton,
     elaborate,
     enumerate_language,
     equivalent,
@@ -40,7 +46,8 @@ from nfalgebra import (
     witness,
     word,
 )
-from nfalgebra.automaton import _Kernel, _kernel
+from nfalgebra.analysis import _steps, _subsets
+from nfalgebra.automaton import _gather, _Kernel, _kernel
 
 from .oracles import (
     oracle_accepts,
@@ -135,6 +142,83 @@ class TestSplits:
         assert splits(left, right, input_word) == reference_splits(
             left, right, input_word
         )
+
+
+def nth_from_right(n: int, names: list[int] | None = None) -> Automaton:
+    """T_n, n + 1 states: the n-th letter from the right is b.  ``names``
+    renames state ``i`` to ``s{names[i]}``, so S_n is T_n renamed."""
+    names = names if names is not None else list(range(n + 1))
+    states = [StateId((), f"s{name}") for name in names]
+    transitions = {(states[0], A): {states[0]}, (states[0], B): {states[0], states[1]}}
+    for source, target in zip(states[1:], states[2:]):
+        transitions[(source, A)] = transitions[(source, B)] = {target}
+    return Automaton(
+        alphabet=frozenset(LETTERS),
+        states=frozenset(states),
+        initial=states[0],
+        transitions=transitions,
+        finals=frozenset({states[n]}),
+    )
+
+
+def scattered(count: int, rng: random.Random) -> Automaton:
+    """``count`` states, each with up to three targets on each letter and
+    an empty-string edge one time in five."""
+    states = [StateId((), f"s{i:02}") for i in range(count)]
+    transitions = {}
+    for source in states:
+        for symbol in LETTERS:
+            transitions[(source, symbol)] = set(rng.sample(states, min(count, 3)))
+        if rng.random() < 0.2:
+            transitions[(source, EPSILON)] = {rng.choice(states)}
+    return Automaton(
+        alphabet=frozenset(LETTERS),
+        states=frozenset(states),
+        initial=states[0],
+        transitions=transitions,
+        finals=frozenset(rng.sample(states, 1)),
+    )
+
+
+class TestChunkTables:
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 16, 17, 24, 25, 40])
+    def test_lookups_equal_the_per_bit_forms(self, count):
+        rng = random.Random(count)
+        kernel = _kernel(scattered(count, rng))
+        assert len(kernel.states) == count
+        steps = _steps(kernel.successors)
+        subset = _subsets(kernel.states)
+        masks = [0, (1 << count) - 1, 1 << (count - 1)]
+        masks += [rng.getrandbits(count) for _ in range(300)]
+        for mask in masks:
+            for step, row in zip(steps, kernel.successors):
+                assert step(mask) == _gather(row, mask)
+            members = [s for i, s in enumerate(kernel.states) if mask >> i & 1]
+            assert subset(mask) == tuple(members)
+
+    @pytest.mark.parametrize("n", [7, 8, 15, 16])
+    def test_searches_on_nth_from_right(self, n):
+        names = list(range(n + 1))
+        random.Random(n).shuffle(names)
+        t_n, s_n = nth_from_right(n), nth_from_right(n, names)
+        assert determinize(t_n) == reference_determinize(t_n)
+        assert equivalent(t_n, s_n) == reference_equivalent(t_n, s_n)
+
+    def test_searches_above_the_table_bound(self):
+        # The DFA of T_5 has 32 states, so it steps bit by bit; T_5 itself
+        # steps through one chunk table.
+        t_5 = nth_from_right(5)
+        dfa = dfa_to_automaton(determinize(t_5))
+        assert len(dfa.states) == 32
+        assert determinize(dfa) == reference_determinize(dfa)
+        for other in (t_5, nth_from_right(6)):
+            assert equivalent(dfa, other) == reference_equivalent(dfa, other)
+
+    @given(automata(max_states=12), automata(max_states=12))
+    @settings(max_examples=30, deadline=None)
+    def test_searches_on_larger_automata(self, left, right):
+        assert determinize(left) == reference_determinize(left)
+        assert equivalent(left, right) == reference_equivalent(left, right)
 
 
 DEAD = state("d")
