@@ -16,12 +16,16 @@ prepending a namespace segment to every state.  ``elaborate`` builds the
 composite an expression tree describes, with every operand renamed under
 its position in the tree, with no intermediate composite; composites are
 ordinary automata that can be composed again.
+
+Each rule is written once, and the operators and ``elaborate`` share it:
+``_place`` renames a device into shared maps, ``_bridge`` is the ``;``
+rule and ``_fork`` the ``|`` rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from . import _EXPORTS
 from .automaton import (
@@ -84,6 +88,69 @@ CompositionExpr = Union[Device, Concat, Parallel]
 
 DeviceEnvironment = Mapping[str, Automaton]
 
+_Path = tuple[str, ...]
+_Edges = dict[tuple[StateId, Symbol], frozenset[StateId]]
+
+
+class _Renamed(dict):
+    """``renamed[s]`` is ``s`` with ``prefix`` prepended to its namespace,
+    built on first lookup, so each state is renamed once however many
+    edges mention it (an invalid device's undeclared states included).
+    ``prefix`` is set after construction: ``elaborate`` makes one memo per
+    leaf, and a Python ``__init__`` would add a call to each."""
+
+    __slots__ = ("prefix",)
+    prefix: _Path
+
+    def __missing__(self, s: StateId) -> StateId:
+        renamed = self[s] = StateId((*self.prefix, *s.namespace), s.local)
+        return renamed
+
+
+def _place(
+    automaton: Automaton, prefix: _Path, states: set[StateId], transitions: _Edges
+) -> tuple[StateId, list[StateId]]:
+    """The renaming rule: add a copy of ``automaton`` with every state
+    under ``prefix`` to the shared maps; return the copy's initial state
+    and finals.  A state the value mentions but does not declare is
+    renamed too, and stays undeclared."""
+    rename = _Renamed()
+    rename.prefix = prefix
+    renamed = rename.__getitem__  # ``map`` over it builds each set in C, no generator
+    states.update(map(renamed, automaton.states))
+    for (source, symbol), targets in automaton.transitions.items():
+        transitions[(renamed(source), symbol)] = frozenset(map(renamed, targets))
+    return renamed(automaton.initial), list(map(renamed, automaton.finals))
+
+
+def _bridge(transitions: _Edges, finals: Iterable[StateId], initial: StateId) -> None:
+    """The ``;`` rule: every state of ``finals`` gains an empty-string edge
+    onto ``initial``, merged with any empty-string edges it already had."""
+    bridge = frozenset({initial})
+    for final in finals:
+        key = (final, EPSILON)
+        transitions[key] = transitions.get(key, frozenset()) | bridge
+
+
+def _fork(
+    states: set[StateId],
+    transitions: _Edges,
+    path: _Path,
+    left: StateId,
+    right: StateId,
+) -> StateId:
+    """The ``|`` rule: add a fresh state with empty-string edges onto
+    ``left`` and ``right``, and return it.  It is ``r0`` under ``path``,
+    suffixed with the smallest number that avoids a state of ``states``."""
+    fork = StateId(path, "r0")
+    bump = 1
+    while fork in states:
+        fork = StateId(path, f"r0{bump}")
+        bump += 1
+    states.add(fork)
+    transitions[(fork, EPSILON)] = frozenset({left, right})
+    return fork
+
 
 def instantiate(automaton: Automaton, segment: str) -> Automaton:
     """Isomorphic copy with ``segment`` prepended to every state's namespace.
@@ -92,33 +159,18 @@ def instantiate(automaton: Automaton, segment: str) -> Automaton:
     instantiating with "A" then "B" yields ``B.A.*`` states.
     """
     check_segment(segment, "namespace segment")
-
-    def rename(s: StateId) -> StateId:
-        return StateId((segment, *s.namespace), s.local)
-
-    transitions = {
-        (rename(source), symbol): frozenset(rename(t) for t in targets)
-        for (source, symbol), targets in automaton.transitions.items()
-    }
-    return Automaton(
-        alphabet=automaton.alphabet,
-        states=frozenset(rename(s) for s in automaton.states),
-        initial=rename(automaton.initial),
-        transitions=transitions,
-        finals=frozenset(rename(s) for s in automaton.finals),
-    )
+    states: set[StateId] = set()
+    transitions: _Edges = {}
+    initial, finals = _place(automaton, (segment,), states, transitions)
+    return Automaton(automaton.alphabet, states, initial, transitions, finals)
 
 
-def _joined_transitions(
-    left: Automaton, right: Automaton
-) -> dict[tuple[StateId, Symbol], frozenset[StateId]]:
-    """Both operands' transitions in one map, once their state sets are
-    known to be disjoint."""
+def _check_disjoint(left: Automaton, right: Automaton) -> None:
+    """Both constructions take plain unions, so operands may share no state."""
     clash = left.states & right.states
     if clash:
         listed = ", ".join(str(s) for s in sorted(clash)[:5])
         raise StateClashError(f"operand state sets overlap: {listed}")
-    return {**left.transitions, **right.transitions}
 
 
 def concat(left: Automaton, right: Automaton) -> Automaton:
@@ -131,17 +183,11 @@ def concat(left: Automaton, right: Automaton) -> Automaton:
     right operand's finals, so a left operand with no finals yields an
     empty language.
     """
-    transitions = _joined_transitions(left, right)
-    for final in left.finals:
-        key = (final, EPSILON)
-        transitions[key] = transitions.get(key, frozenset()) | {right.initial}
-    return Automaton(
-        alphabet=left.alphabet | right.alphabet,
-        states=left.states | right.states,
-        initial=left.initial,
-        transitions=transitions,
-        finals=right.finals,
-    )
+    _check_disjoint(left, right)
+    transitions = {**left.transitions, **right.transitions}
+    _bridge(transitions, left.finals, right.initial)
+    alphabet, states = left.alphabet | right.alphabet, left.states | right.states
+    return Automaton(alphabet, states, left.initial, transitions, right.finals)
 
 
 def parallel(left: Automaton, right: Automaton) -> Automaton:
@@ -152,21 +198,12 @@ def parallel(left: Automaton, right: Automaton) -> Automaton:
     and carries no letter moves of its own.  Finals are the union of the
     operands' finals.
     """
-    transitions = _joined_transitions(left, right)
-    taken = left.states | right.states
-    root = StateId((), "r0")
-    bump = 1
-    while root in taken:
-        root = StateId((), f"r0{bump}")
-        bump += 1
-    transitions[(root, EPSILON)] = frozenset({left.initial, right.initial})
-    return Automaton(
-        alphabet=left.alphabet | right.alphabet,
-        states=taken | {root},
-        initial=root,
-        transitions=transitions,
-        finals=left.finals | right.finals,
-    )
+    _check_disjoint(left, right)
+    states = {*left.states, *right.states}
+    transitions = {**left.transitions, **right.transitions}
+    root = _fork(states, transitions, (), left.initial, right.initial)
+    alphabet, finals = left.alphabet | right.alphabet, left.finals | right.finals
+    return Automaton(alphabet, states, root, transitions, finals)
 
 
 def elaborate(expr: CompositionExpr, env: DeviceEnvironment) -> Automaton:
@@ -182,11 +219,12 @@ def elaborate(expr: CompositionExpr, env: DeviceEnvironment) -> Automaton:
     The result is what folding the tree with ``instantiate``, ``concat``
     and ``parallel`` would give, built with no intermediate composite:
     every leaf state is renamed straight to its final position path, then
-    the nodes are folded bottom-up.  Each ``;`` node bridges the finals of
-    its left subtree to the initial state of its right one, and each ``|``
-    node adds its fork state ``r0`` under its own path (both operands live
-    under ``L``/``R``, so ``r0`` never needs a suffix).  A lone device
-    comes back as the bound automaton itself.
+    the nodes are folded bottom-up, by the rules the operators use.  Each
+    ``;`` node bridges the finals of its left subtree to the initial state
+    of its right one, and each ``|`` node adds its fork state ``r0`` under
+    its own path (both operands live under ``L``/``R``, so ``r0`` never
+    needs a suffix).  A lone device comes back as the bound automaton
+    itself.
     """
 
     def bound(name: str) -> Automaton:
@@ -206,7 +244,7 @@ def elaborate(expr: CompositionExpr, env: DeviceEnvironment) -> Automaton:
     positions = _positions(expr)
     alphabet: set[Symbol] = set()
     states: set[StateId] = set()
-    transitions: dict[tuple[StateId, Symbol], frozenset[StateId]] = {}
+    transitions: _Edges = {}
     # Leaves go in left to right, which keeps the maps close to the
     # canonical order that renders sort them into: (initial state, final
     # states) of each renamed leaf.
@@ -214,18 +252,8 @@ def elaborate(expr: CompositionExpr, env: DeviceEnvironment) -> Automaton:
     for node, path in positions:
         if isinstance(node, Device):
             automaton = bound(node.name)
-            rename = {
-                s: StateId((*path, *s.namespace), s.local) for s in automaton.states
-            }
             alphabet |= automaton.alphabet
-            states.update(rename.values())
-            for (source, symbol), targets in automaton.transitions.items():
-                transitions[(rename[source], symbol)] = frozenset(
-                    rename[t] for t in targets
-                )
-            leaves.append(
-                (rename[automaton.initial], [rename[f] for f in automaton.finals])
-            )
+            leaves.append(_place(automaton, path, states, transitions))
     # (initial state, final states) of each finished subtree.
     done: list[tuple[StateId, list[StateId]]] = []
     for node, path in reversed(positions):
@@ -235,15 +263,10 @@ def elaborate(expr: CompositionExpr, env: DeviceEnvironment) -> Automaton:
         left_initial, left_finals = done.pop()
         right_initial, right_finals = done.pop()
         if isinstance(node, Concat):
-            bridge = frozenset({right_initial})
-            for final in left_finals:
-                key = (final, EPSILON)
-                transitions[key] = transitions.get(key, frozenset()) | bridge
+            _bridge(transitions, left_finals, right_initial)
             done.append((left_initial, right_finals))
         else:
-            fork = StateId(path, "r0")
-            states.add(fork)
-            transitions[(fork, EPSILON)] = frozenset({left_initial, right_initial})
+            fork = _fork(states, transitions, path, left_initial, right_initial)
             done.append((fork, left_finals + right_finals))
     initial, finals = done.pop()
     return Automaton(
@@ -255,9 +278,7 @@ def elaborate(expr: CompositionExpr, env: DeviceEnvironment) -> Automaton:
     )
 
 
-def _positions(
-    expr: CompositionExpr,
-) -> list[tuple[CompositionExpr, tuple[str, ...]]]:
+def _positions(expr: CompositionExpr) -> list[tuple[CompositionExpr, _Path]]:
     """Every node with its position path, in pre-order: each node, then its
     left subtree, then its right one.  The root's path is empty, and a
     child's path appends "L" or "R" to its parent's; so no position lies
@@ -269,7 +290,7 @@ def _positions(
     tree; an expression of any depth costs heap, not the interpreter's
     stack."""
     out = []
-    pending: list[tuple[CompositionExpr, tuple[str, ...]]] = [(expr, ())]
+    pending: list[tuple[CompositionExpr, _Path]] = [(expr, ())]
     while pending:
         node, path = pending.pop()
         out.append((node, path))

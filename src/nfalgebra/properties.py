@@ -15,9 +15,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
 
-from .algebra import CompositionExpr, Concat, Device, Parallel, elaborate
+from .algebra import Concat, Device, Parallel, elaborate
 from .analysis import enumerate_language
 from .automaton import EPSILON, Automaton, StateId, Symbol, Word, letter
 
@@ -28,7 +27,6 @@ __all__ = [
     "SuiteResult",
     "all_words",
     "random_automaton",
-    "random_expression",
     "run_closure_suite",
 ]
 
@@ -68,22 +66,6 @@ def random_automaton(rng: random.Random, max_states: int = 4) -> Automaton:
         transitions=transitions,
         finals=finals,
     )
-
-
-def random_expression(
-    rng: random.Random, names: Sequence[str], max_leaves: int = 4
-) -> CompositionExpr:
-    """Random composition tree with 1..max_leaves leaves over ``names``."""
-    leaves = rng.randint(1, max_leaves)
-
-    def build(n: int) -> CompositionExpr:
-        if n == 1:
-            return Device(names[rng.randrange(len(names))])
-        split = rng.randint(1, n - 1)
-        node = Concat if rng.random() < 0.5 else Parallel
-        return node(build(split), build(n - split))
-
-    return build(leaves)
 
 
 def all_words(max_len: int = 6) -> list[Word]:

@@ -14,8 +14,14 @@ never touches it.  ``reference_splits`` is the quadratic ``splits`` that
 ran a membership test on every prefix and every suffix; here the tests
 are ``oracle_accepts``.  ``product`` and ``is_empty`` are the synchronous
 product of two ``Dfa`` tables and its least-word search.
-``reference_elaborate`` is the recursive fold of ``instantiate``,
-``concat`` and ``parallel`` that the one-pass ``elaborate`` replaced.
+``reference_verdict`` is the equivalence verdict on two such DFAs, for a
+caller that already holds them.
+``reference_instantiate``, ``reference_concat`` and ``reference_parallel``
+are the paper's renaming and two operators written from their
+definitions, on sets; they import nothing from the package's algebra but
+its value and error classes.  ``reference_elaborate`` is their recursive
+fold, so the one-pass ``elaborate`` is judged by code that shares none of
+its renaming, bridge or fork.
 ``reference_parse_automaton`` is the automaton-file parser that tracked a
 column for every token as it read it, where ``parse_automaton`` finds
 columns only for the lines its diagnostics name.
@@ -32,6 +38,7 @@ The string predicates describe the bundled devices' languages directly.
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -53,18 +60,16 @@ from nfalgebra import (
     ParseDiagnostic,
     ParseError,
     RunWitness,
+    StateClashError,
     StateId,
     SubsetState,
     Symbol,
     UnboundDeviceError,
     UnknownSymbolError,
     Word,
-    concat,
     format_word,
-    instantiate,
     leaf_devices,
     pad_alphabet,
-    parallel,
     state,
     symbol_key,
     validate,
@@ -297,6 +302,13 @@ def reference_equivalent(a: Automaton, b: Automaton) -> EquivalenceVerdict:
     union = a.alphabet | b.alphabet
     left = reference_determinize(pad_alphabet(a, union))
     right = reference_determinize(pad_alphabet(b, union))
+    return reference_verdict(left, right)
+
+
+def reference_verdict(left: Dfa, right: Dfa) -> EquivalenceVerdict:
+    """The verdict on two full DFAs over one alphabet: the least word of
+    their difference product, if it has one.  A caller that already holds
+    both DFAs skips ``reference_equivalent``'s subset constructions."""
     counterexample = is_empty(product(left, right, lambda x, y: x != y))
     return EquivalenceVerdict(counterexample is None, counterexample)
 
@@ -341,9 +353,78 @@ def reference_splits(left: Automaton, right: Automaton, input_word: Word) -> set
     }
 
 
+def reference_instantiate(automaton: Automaton, segment: str) -> Automaton:
+    """Every state the value mentions, declared or not, with ``segment``
+    put in front of its namespace; ``StateId`` rejects a bad segment."""
+
+    def renamed(s: StateId) -> StateId:
+        return StateId((segment,) + s.namespace, s.local)
+
+    return Automaton(
+        alphabet=automaton.alphabet,
+        states={renamed(s) for s in automaton.states},
+        initial=renamed(automaton.initial),
+        transitions={
+            (renamed(source), symbol): {renamed(t) for t in targets}
+            for (source, symbol), targets in automaton.transitions.items()
+        },
+        finals={renamed(s) for s in automaton.finals},
+    )
+
+
+def _disjoint_union(left: Automaton, right: Automaton) -> dict:
+    """Both transition relations as one map of sets, once no state is
+    declared on both sides (so two valid operands share no key); the clash
+    error names the five least shared states."""
+    shared = sorted(s for s in left.states if s in right.states)
+    if shared:
+        listed = ", ".join(str(s) for s in shared[:5])
+        raise StateClashError(f"operand state sets overlap: {listed}")
+    union: dict = {}
+    for operand in (left, right):
+        for key, targets in operand.transitions.items():
+            union.setdefault(key, set()).update(targets)
+    return union
+
+
+def reference_concat(left: Automaton, right: Automaton) -> Automaton:
+    """Start where ``left`` starts, accept where ``right`` accepts, and add
+    an empty-string edge from each final of ``left`` to the initial state
+    of ``right``."""
+    transitions = _disjoint_union(left, right)
+    for final in left.finals:
+        transitions.setdefault((final, EPSILON), set()).add(right.initial)
+    return Automaton(
+        alphabet=left.alphabet | right.alphabet,
+        states=left.states | right.states,
+        initial=left.initial,
+        transitions=transitions,
+        finals=right.finals,
+    )
+
+
+def reference_parallel(left: Automaton, right: Automaton) -> Automaton:
+    """A new root-level initial state with empty-string edges into both
+    operands, named by the first of r0, r01, r02, ... that neither operand
+    declares; either operand's finals accept."""
+    transitions = _disjoint_union(left, right)
+    states = left.states | right.states
+    names = (StateId((), "r0" if k == 0 else f"r0{k}") for k in itertools.count())
+    root = next(name for name in names if name not in states)
+    transitions[(root, EPSILON)] = {left.initial, right.initial}
+    return Automaton(
+        alphabet=left.alphabet | right.alphabet,
+        states=states | {root},
+        initial=root,
+        transitions=transitions,
+        finals=left.finals | right.finals,
+    )
+
+
 def reference_elaborate(expr: CompositionExpr, env: DeviceEnvironment) -> Automaton:
     """Fold the tree bottom-up: elaborate both operands, rename them under
-    "L" and "R", and combine them with ``concat`` or ``parallel``."""
+    "L" and "R" with ``reference_instantiate``, and combine them with
+    ``reference_concat`` or ``reference_parallel``."""
     if isinstance(expr, Device):
         automaton = env.get(expr.name)
         if automaton is None:
@@ -353,9 +434,9 @@ def reference_elaborate(expr: CompositionExpr, env: DeviceEnvironment) -> Automa
             detail = "; ".join(v.code for v in problems)
             raise InvalidDeviceError(f"device {expr.name!r} is invalid: {detail}")
         return automaton
-    left = instantiate(reference_elaborate(expr.left, env), "L")
-    right = instantiate(reference_elaborate(expr.right, env), "R")
-    combine = concat if isinstance(expr, Concat) else parallel
+    left = reference_instantiate(reference_elaborate(expr.left, env), "L")
+    right = reference_instantiate(reference_elaborate(expr.right, env), "R")
+    combine = reference_concat if isinstance(expr, Concat) else reference_parallel
     return combine(left, right)
 
 

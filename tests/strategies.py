@@ -1,14 +1,18 @@
-"""Hypothesis strategies for random automata and words."""
+"""Hypothesis strategies for random automata and words, and the seeded
+``random_expression`` that tests draw expression trees from with a
+``random.Random``."""
 
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from hypothesis import strategies as st
 
 from nfalgebra import (
     EPSILON,
     Automaton,
+    CompositionExpr,
     Concat,
     Device,
     Parallel,
@@ -70,6 +74,22 @@ def leaf_devices(draw) -> Automaton:
     if draw(st.booleans()):
         device = pad_alphabet(device, {letter("c")})
     return device
+
+
+def random_expression(
+    rng: random.Random, names: Sequence[str], max_leaves: int = 4
+) -> CompositionExpr:
+    """Random composition tree with 1..max_leaves leaves over ``names``."""
+    leaves = rng.randint(1, max_leaves)
+
+    def build(n: int) -> CompositionExpr:
+        if n == 1:
+            return Device(names[rng.randrange(len(names))])
+        split = rng.randint(1, n - 1)
+        node = Concat if rng.random() < 0.5 else Parallel
+        return node(build(split), build(n - split))
+
+    return build(leaves)
 
 
 def expressions(names: list[str], max_leaves: int = 10):

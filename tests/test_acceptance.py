@@ -28,14 +28,10 @@ from nfalgebra import (
     state,
     word,
 )
-from nfalgebra.properties import (
-    all_words,
-    random_automaton,
-    random_expression,
-    run_closure_suite,
-)
+from nfalgebra.properties import all_words, random_automaton, run_closure_suite
 
 from .oracles import as_text, dfa_accepts, in_l1, in_l2
+from .strategies import random_expression
 
 N1_PATH = str(fixtures.builtin_path("N1"))
 N2_PATH = str(fixtures.builtin_path("N2"))

@@ -39,8 +39,20 @@ from nfalgebra import automaton as automaton_module
 from nfalgebra.properties import random_automaton, run_closure_suite
 
 from .conftest import DEEP_LEAVES
-from .oracles import reference_elaborate, reference_equivalent
-from .strategies import LETTERS, automata, expressions, leaf_devices as leaf_automata
+from .oracles import (
+    reference_concat,
+    reference_elaborate,
+    reference_equivalent,
+    reference_instantiate,
+    reference_parallel,
+)
+from .strategies import (
+    LETTERS,
+    automata,
+    expressions,
+    invalid_automata,
+    leaf_devices as leaf_automata,
+)
 
 A = letter("a")
 
@@ -148,6 +160,100 @@ class TestParallel:
     def test_state_clash_rejected(self, n2):
         with pytest.raises(StateClashError):
             parallel(n2, n2)
+
+
+def outcome(operator, *operands):
+    """What an operator gives: its value, or its error's type and message."""
+    try:
+        return operator(*operands)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+class TestOperatorsMatchTheReferences:
+    """``instantiate``, ``concat`` and ``parallel`` against the set-based
+    references in ``oracles``, which share no code with them."""
+
+    @given(invalid_automata(), st.sampled_from(("L", "R", "X", "", "a.b")))
+    @settings(max_examples=100, deadline=None)
+    def test_instantiate(self, automaton, segment):
+        # The operands may mention undeclared states, as initial, final or
+        # edge endpoints; both sides rename those too.
+        got = outcome(instantiate, automaton, segment)
+        assert got == outcome(reference_instantiate, automaton, segment)
+
+    def test_instantiate_renames_undeclared_endpoints(self):
+        ghost = state("ghost")
+        automaton = Automaton(
+            alphabet=frozenset({A}),
+            states=frozenset({state("s0")}),
+            initial=ghost,
+            transitions={(ghost, A): frozenset({state("s0"), state("X.far")})},
+            finals=frozenset({ghost}),
+        )
+        renamed = instantiate(automaton, "L")
+        assert renamed == reference_instantiate(automaton, "L")
+        assert renamed.initial == state("L.ghost")
+        assert renamed.finals == {state("L.ghost")}
+        assert renamed.targets(state("L.ghost"), A) == {
+            state("L.s0"),
+            state("L.X.far"),
+        }
+
+    @given(
+        leaf_automata(),
+        leaf_automata(),
+        st.sampled_from(("apart", "right-renamed", "as-drawn", "same")),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_concat_and_parallel(self, left, right, placement):
+        # Operands that share states must raise the same clash error; a
+        # left operand with root-level states may already hold r0.
+        if placement == "apart":
+            left = reference_instantiate(left, "L")
+        if placement in ("apart", "right-renamed"):
+            right = reference_instantiate(right, "R")
+        if placement == "same":
+            right = left
+        for operator, reference in (
+            (concat, reference_concat),
+            (parallel, reference_parallel),
+        ):
+            assert outcome(operator, left, right) == outcome(reference, left, right)
+
+    @given(st.lists(leaf_automata(), min_size=3, max_size=4))
+    @settings(max_examples=50, deadline=None)
+    def test_chains_of_forks(self, devices):
+        built = expected = devices[0]
+        for k, device in enumerate(devices[1:]):
+            operand = reference_instantiate(device, f"X{k}")
+            built = parallel(built, operand)
+            expected = reference_parallel(expected, operand)
+            assert built == expected
+
+    def test_fork_names_count_up(self, n1, n2):
+        built = expected = instantiate(n1, "A")
+        roots = []
+        for k in range(3):
+            operand = instantiate(n2, f"B{k}")
+            built = parallel(built, operand)
+            expected = reference_parallel(expected, operand)
+            assert built == expected
+            roots.append(str(built.initial))
+        assert roots == ["r0", "r01", "r02"]
+
+    def test_clash_error(self, n1, n2):
+        message = "operand state sets overlap: p0, p1, p2, p3"
+        for operator, reference in (
+            (concat, reference_concat),
+            (parallel, reference_parallel),
+        ):
+            assert outcome(operator, n1, n1) == (StateClashError, message)
+            assert outcome(reference, n1, n1) == (StateClashError, message)
+        wide = parallel(instantiate(n1, "A"), instantiate(n2, "B"))
+        message = "operand state sets overlap: r0, A.p0, A.p1, A.p2, A.p3"
+        assert outcome(concat, wide, wide) == (StateClashError, message)
+        assert outcome(reference_concat, wide, wide) == (StateClashError, message)
 
 
 BROKEN_INITIAL = Automaton(

@@ -15,14 +15,10 @@ from nfalgebra import (
     validate,
 )
 from nfalgebra import properties
-from nfalgebra.properties import (
-    all_words,
-    random_automaton,
-    random_expression,
-    run_closure_suite,
-)
+from nfalgebra.properties import all_words, random_automaton, run_closure_suite
 
 from .oracles import reference_enumerate_language
+from .strategies import random_expression
 
 
 def without_bridges(expr, env):

@@ -27,10 +27,10 @@ from nfalgebra import (
     validate,
     word,
 )
-from nfalgebra.properties import random_automaton, random_expression
+from nfalgebra.properties import random_automaton
 
 from .oracles import reference_parse_automaton
-from .strategies import corrupted_files
+from .strategies import corrupted_files, random_expression
 
 # Letter spellings for the input-word round trip: one-character letters
 # only (which spell e·p·s), then mixes of one-character and longer letters.
