@@ -10,12 +10,13 @@ Two binary operators build bigger automata out of smaller ones:
   into both operands; either operand's finals accept.  The composite
   language is the union.
 
-Both constructions take plain unions of state sets and therefore require
-the operands to be disjoint.  ``instantiate`` manufactures disjointness by
-prepending a namespace segment to every state.  ``elaborate`` builds the
-composite an expression tree describes, with every operand renamed under
-its position in the tree, with no intermediate composite; composites are
-ordinary automata that can be composed again.
+Both constructions take plain unions of state sets and edge maps, and
+therefore require the operands to be disjoint.  ``instantiate``
+manufactures disjointness by prepending a namespace segment to every
+state.  ``elaborate`` builds the composite an expression tree describes,
+with every operand renamed under its position in the tree, with no
+intermediate composite; composites are ordinary automata that can be
+composed again.
 
 Each rule is written once, and the operators and ``elaborate`` share it:
 ``_place`` renames a device into shared maps, ``_bridge`` is the ``;``
@@ -24,7 +25,6 @@ rule and ``_fork`` the ``|`` rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from . import _EXPORTS
@@ -35,7 +35,9 @@ from .automaton import (
     InvalidAutomatonError,
     StateId,
     Symbol,
+    _Frozen,
     _kernel,
+    _NO_STATES,
     check_name,
     check_segment,
     validate,
@@ -62,26 +64,37 @@ def check_device_name(name: str) -> None:
     check_name(name, "device name", (_EXPRESSION_MARKS, "#"))
 
 
-@dataclass(frozen=True)
-class Device:
+class Device(_Frozen):
     """Leaf of an expression: a reference to a named automaton."""
+
+    __match_args__ = ("name",)
 
     name: str
 
-    def __post_init__(self) -> None:
-        check_device_name(self.name)
+    def __init__(self, name: str) -> None:
+        check_device_name(name)
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Concat:
-    left: "CompositionExpr"
-    right: "CompositionExpr"
+class _Node(_Frozen):
+    """An operator node: ``left`` and ``right`` are its operand trees."""
+
+    __match_args__ = ("left", "right")
+
+    left: CompositionExpr
+    right: CompositionExpr
+
+    def __init__(self, left: CompositionExpr, right: CompositionExpr) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Parallel:
-    left: "CompositionExpr"
-    right: "CompositionExpr"
+class Concat(_Node):
+    """``left ; right``: the sequential composite."""
+
+
+class Parallel(_Node):
+    """``left | right``: the branching composite."""
 
 
 CompositionExpr = Union[Device, Concat, Parallel]
@@ -165,12 +178,18 @@ def instantiate(automaton: Automaton, segment: str) -> Automaton:
     return Automaton(automaton.alphabet, states, initial, transitions, finals)
 
 
-def _check_disjoint(left: Automaton, right: Automaton) -> None:
-    """Both constructions take plain unions, so operands may share no state."""
+def _joined(left: Automaton, right: Automaton) -> _Edges:
+    """Both operands' edges in one map, once no state is declared on both
+    sides.  Two such operands share a key only at a state that one of them
+    does not declare; that key keeps the targets of both."""
     clash = left.states & right.states
     if clash:
         listed = ", ".join(str(s) for s in sorted(clash)[:5])
         raise StateClashError(f"operand state sets overlap: {listed}")
+    transitions = dict(left.transitions)
+    for key, targets in right.transitions.items():
+        transitions[key] = transitions.get(key, _NO_STATES) | targets
+    return transitions
 
 
 def concat(left: Automaton, right: Automaton) -> Automaton:
@@ -183,8 +202,7 @@ def concat(left: Automaton, right: Automaton) -> Automaton:
     right operand's finals, so a left operand with no finals yields an
     empty language.
     """
-    _check_disjoint(left, right)
-    transitions = {**left.transitions, **right.transitions}
+    transitions = _joined(left, right)
     _bridge(transitions, left.finals, right.initial)
     alphabet, states = left.alphabet | right.alphabet, left.states | right.states
     return Automaton(alphabet, states, left.initial, transitions, right.finals)
@@ -198,9 +216,8 @@ def parallel(left: Automaton, right: Automaton) -> Automaton:
     and carries no letter moves of its own.  Finals are the union of the
     operands' finals.
     """
-    _check_disjoint(left, right)
+    transitions = _joined(left, right)
     states = {*left.states, *right.states}
-    transitions = {**left.transitions, **right.transitions}
     root = _fork(states, transitions, (), left.initial, right.initial)
     alphabet, finals = left.alphabet | right.alphabet, left.finals | right.finals
     return Automaton(alphabet, states, root, transitions, finals)

@@ -26,10 +26,9 @@ with ``accepts``, on the kernel, not on the table.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 from operator import add, or_
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from . import _EXPORTS
 from .automaton import (
@@ -40,6 +39,7 @@ from .automaton import (
     Symbol,
     Word,
     _bits,
+    _Frozen,
     _gather,
     _kernel,
     _on_union_alphabet,
@@ -55,8 +55,7 @@ class EnumerationBoundError(ValueError):
     """Requested enumeration length exceeds the configured cap."""
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(_Frozen):
     """Deterministic view of an automaton as an indexed table.
 
     ``states[0]`` is the initial subset.  Row ``i`` of ``transition`` holds
@@ -74,16 +73,24 @@ class Dfa:
     or final outside ``range(len(states))``.
     """
 
+    __match_args__ = ("alphabet", "states", "transition", "finals")
+
     alphabet: frozenset[Symbol]
     states: tuple[SubsetState, ...]
     transition: tuple[tuple[int, ...], ...]
     finals: frozenset[int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alphabet", frozenset(self.alphabet))
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "transition", tuple(map(tuple, self.transition)))
-        object.__setattr__(self, "finals", frozenset(self.finals))
+    def __init__(
+        self,
+        alphabet: Iterable[Symbol],
+        states: Iterable[SubsetState],
+        transition: Iterable[Iterable[int]],
+        finals: Iterable[int],
+    ) -> None:
+        object.__setattr__(self, "alphabet", frozenset(alphabet))
+        object.__setattr__(self, "states", tuple(states))
+        object.__setattr__(self, "transition", tuple(map(tuple, transition)))
+        object.__setattr__(self, "finals", frozenset(finals))
         rows, count, width = self.transition, len(self.states), len(self.alphabet)
         if EPSILON in self.alphabet:
             raise ValueError("the alphabet holds the empty-string symbol")
@@ -100,16 +107,21 @@ class Dfa:
                 raise ValueError(f"{kind} {outside[0]} is outside range({count})")
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
+class EquivalenceVerdict(_Frozen):
     """Outcome of a language comparison.
 
     ``counterexample`` is present exactly when the languages differ, and is
     accepted by exactly one of the two compared automata.
     """
 
+    __match_args__ = ("equivalent", "counterexample")
+
     equivalent: bool
     counterexample: Word | None
+
+    def __init__(self, equivalent: bool, counterexample: Word | None) -> None:
+        object.__setattr__(self, "equivalent", equivalent)
+        object.__setattr__(self, "counterexample", counterexample)
 
 
 _T = TypeVar("_T")

@@ -8,25 +8,28 @@ legal.  The transition map is sparse: a missing entry means "no
 successors".
 
 Every value here is frozen and every operation is a pure function, so the
-whole module is safe to use from any number of threads.  State names and
-letters are interned in tables that only grow; each new entry goes in with
-one ``dict.setdefault``, so threads that race on a name share one object.
-Simulation runs on a dense integer kernel that each automaton compiles on
-first use and caches outside its fields; compiling is idempotent, so a race
-to compile needs no lock.  The kernel is the one simulation path: compiling
-rejects an automaton that ``validate`` rejects, so every operation that
-simulates raises ``InvalidAutomatonError`` for one, and its letter lookup
-is the one alphabet check, which raises ``UnknownSymbolError``.
+whole module is safe to use from any number of threads.  ``_Frozen`` is
+the one base of the package's frozen values, here and in every other
+module: it gives each value the repr, equality, hash and refusal to
+change of a frozen dataclass, and each class writes only its fields and
+its constructor.  State names and letters are interned in tables that
+only grow; each new entry goes in with one ``dict.setdefault``, so
+threads that race on a name share one object.  Simulation runs on a
+dense integer kernel that each automaton compiles on first use and caches
+outside its fields; compiling is idempotent, so a race to compile needs
+no lock.  The kernel is the one simulation path: compiling rejects an
+automaton that ``validate`` rejects, so every operation that simulates
+raises ``InvalidAutomatonError`` for one, and its letter lookup is the one
+alphabet check, which raises ``UnknownSymbolError``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, total_ordering
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NoReturn
 
 from . import _EXPORTS
 
@@ -75,15 +78,54 @@ def check_name(text: str, kind: str, reserved: Iterable[str] = ()) -> None:
 
 
 class _Frozen:
-    """Rejects assignment and deletion as a frozen dataclass does."""
+    """The one base of the package's frozen values.
+
+    A subclass lists its fields in ``__match_args__`` and sets each once in
+    its constructor with ``object.__setattr__``.  The base gives it what a
+    frozen dataclass has: a repr of the class name and the fields, equality
+    with a value of its own class whose fields are equal (never with a
+    plain tuple, which a tuple-based value would otherwise equal), the hash
+    of the field tuple, no ordering, and ``FrozenInstanceError`` on any
+    assignment or deletion.  Pickling and copying work as for any object,
+    by ``__dict__``, or by constructor where a subclass says so.
+    """
 
     __slots__ = ()
+    __match_args__: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        """The fields' values, in ``__match_args__`` order."""
+        return tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return False if isinstance(other, tuple) else NotImplemented
+
+    # ``object``'s ``!=`` negates ``__eq__``; a tuple-based value would
+    # otherwise inherit the tuple's.
+    __ne__ = object.__ne__
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        _refuse("assign to", name)
 
     def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        _refuse("delete", name)
+
+
+def _refuse(action: str, name: str) -> NoReturn:
+    # Imported here, so only a caller that tries to change a value pays for
+    # loading ``dataclasses``.
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot {action} field {name!r}")
 
 
 class _Interned(_Frozen):
@@ -97,14 +139,12 @@ class _Interned(_Frozen):
     """
 
     __slots__ = ()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __reduce__(self) -> tuple[type, tuple]:
         # Unpickling and copying call the constructor, which re-interns.
-        return (type(self), tuple(getattr(self, f) for f in self.__match_args__))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
+        return (type(self), self._values())
 
 
 class Symbol(_Interned):
@@ -231,16 +271,18 @@ _NO_STATES: frozenset[StateId] = frozenset()
 TransitionMap = Mapping[tuple[StateId, Symbol], frozenset[StateId]]
 
 
-@dataclass(frozen=True)
-class Automaton:
+class Automaton(_Frozen):
     """Five-tuple NFA value.
 
     ``alphabet`` holds letters only (the empty-string symbol is implicit).
     ``transitions`` maps (state, symbol) to the successor set and may use
     the empty-string symbol as a key; empty successor sets are dropped on
     construction so equal automata compare equal regardless of how their
-    maps were written down.
+    maps were written down.  The value keeps an instance ``__dict__``, where
+    ``_kernel`` caches its compiled kernel.
     """
+
+    __match_args__ = ("alphabet", "states", "initial", "transitions", "finals")
 
     alphabet: frozenset[Symbol]
     states: frozenset[StateId]
@@ -248,16 +290,23 @@ class Automaton:
     transitions: TransitionMap
     finals: frozenset[StateId]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alphabet", frozenset(self.alphabet))
-        object.__setattr__(self, "states", frozenset(self.states))
-        object.__setattr__(self, "finals", frozenset(self.finals))
+    def __init__(
+        self,
+        alphabet: Iterable[Symbol],
+        states: Iterable[StateId],
+        initial: StateId,
+        transitions: TransitionMap,
+        finals: Iterable[StateId],
+    ) -> None:
+        object.__setattr__(self, "alphabet", frozenset(alphabet))
+        object.__setattr__(self, "states", frozenset(states))
+        object.__setattr__(self, "initial", initial)
+        finals = frozenset(finals)  # a bad ``finals`` is reported before a bad map
         cleaned = {
-            key: frozenset(targets)
-            for key, targets in self.transitions.items()
-            if targets
+            key: frozenset(targets) for key, targets in transitions.items() if targets
         }
         object.__setattr__(self, "transitions", MappingProxyType(cleaned))
+        object.__setattr__(self, "finals", finals)
 
     def targets(self, source: StateId, symbol: Symbol) -> frozenset[StateId]:
         return self.transitions.get((source, symbol), _NO_STATES)
@@ -277,12 +326,17 @@ class Automaton:
         return triples
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Frozen):
     """One broken automaton invariant: a stable code plus a human message."""
+
+    __match_args__ = ("code", "message")
 
     code: str
     message: str
+
+    def __init__(self, code: str, message: str) -> None:
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "message", message)
 
 
 def validate(automaton: Automaton) -> list[Violation]:
@@ -555,7 +609,7 @@ class _Kernel:
 def _kernel(automaton: Automaton) -> _Kernel:
     """The automaton's kernel, compiled on first use.
 
-    The cache is an instance attribute outside the dataclass fields, so it
+    The cache is an instance attribute outside the value's fields, so it
     takes no part in ``==``, ``hash`` or ``repr``.
     """
     try:
@@ -576,16 +630,21 @@ def accepts(automaton: Automaton, input_word: Iterable[Symbol]) -> bool:
     return bool(kernel.run(kernel.indices(input_word))[-1] & kernel.finals)
 
 
-@dataclass(frozen=True)
-class RunWitness:
+class RunWitness(_Frozen):
     """An accepting run: ``states`` has exactly one more entry than ``symbols``.
 
     Symbols may include the empty-string symbol; erasing those yields the
     witnessed input.
     """
 
+    __match_args__ = ("states", "symbols")
+
     states: tuple[StateId, ...]
     symbols: Word
+
+    def __init__(self, states: tuple[StateId, ...], symbols: Word) -> None:
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "symbols", symbols)
 
     def erased(self) -> Word:
         """The symbol sequence with empty-string entries removed."""

@@ -13,12 +13,11 @@ on the code that ``accept``, ``trace`` and ``compose`` run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 
 from .algebra import Concat, Device, Parallel, elaborate
 from .analysis import enumerate_language
-from .automaton import EPSILON, Automaton, StateId, Symbol, Word, letter
+from .automaton import EPSILON, Automaton, StateId, Symbol, Word, _Frozen, letter
 
 __all__ = [
     "DEFAULT_LETTERS",
@@ -76,9 +75,12 @@ def all_words(max_len: int = 6) -> list[Word]:
     ]
 
 
-@dataclass(frozen=True)
-class LawFailure:
+class LawFailure(_Frozen):
     """One disagreement between a composite and its operand-level oracle."""
+
+    __match_args__ = (
+        "case", "law", "word", "composite_verdict", "oracle_verdict", "left", "right"
+    )
 
     case: int
     law: str  # "concat" or "parallel"
@@ -88,13 +90,42 @@ class LawFailure:
     left: Automaton
     right: Automaton
 
+    def __init__(
+        self,
+        case: int,
+        law: str,
+        word: Word,
+        composite_verdict: bool,
+        oracle_verdict: bool,
+        left: Automaton,
+        right: Automaton,
+    ) -> None:
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "law", law)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "composite_verdict", composite_verdict)
+        object.__setattr__(self, "oracle_verdict", oracle_verdict)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
-@dataclass(frozen=True)
-class SuiteResult:
+
+class SuiteResult(_Frozen):
+    """The outcome of one run of the suite: its settings and every failure."""
+
+    __match_args__ = ("seed", "cases", "max_len", "failures")
+
     seed: int
     cases: int
     max_len: int
     failures: tuple[LawFailure, ...]
+
+    def __init__(
+        self, seed: int, cases: int, max_len: int, failures: tuple[LawFailure, ...]
+    ) -> None:
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "max_len", max_len)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def ok(self) -> bool:

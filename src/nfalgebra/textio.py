@@ -48,7 +48,6 @@ the same rule, given the alphabet it will be read against.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, NoReturn
 
@@ -69,6 +68,7 @@ from .automaton import (
     StateId,
     Symbol,
     Word,
+    _Frozen,
     _state_order,
     state,
 )
@@ -76,14 +76,21 @@ from .automaton import (
 __all__ = [*_EXPORTS["textio"]]
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(_Frozen):
     """One parse problem, pointing at the offending input position."""
+
+    __match_args__ = ("line", "column", "code", "message")
 
     line: int
     column: int
     code: str
     message: str
+
+    def __init__(self, line: int, column: int, code: str, message: str) -> None:
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "message", message)
 
     def render(self) -> str:
         return f"{self.line}:{self.column}: {self.code}: {self.message}"

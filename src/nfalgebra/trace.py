@@ -17,7 +17,6 @@ over the right one; ``parallel_verdicts`` runs each operand on the word.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
 from itertools import compress, count, islice, repeat
 from operator import ne
 from types import MappingProxyType
@@ -49,27 +48,16 @@ __all__ = [*_EXPORTS["trace"]]
 
 
 class _Event(_Frozen):
-    """Value semantics of a frozen dataclass on a named tuple.
+    """A frozen value on a named tuple.
 
-    An event is equal only to an event of its own class with equal fields,
-    never to a plain tuple or to another kind of event; it hashes as its
-    field tuple, does not order, and rejects assignment as a frozen
-    dataclass does.  Being a tuple, an event can be built by
-    ``tuple.__new__`` with no Python frame, which a trace does per letter.
+    ``_Frozen`` gives an event its repr, its equality (only with an event
+    of its own class with equal fields, never with a plain tuple) and its
+    hash.  What is left here is ordering: a tuple orders, an event does
+    not.  Being a tuple, an event can be built by ``tuple.__new__`` with no
+    Python frame, which a trace does per letter.
     """
 
     __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return tuple.__eq__(self, other)
-        return False if isinstance(other, tuple) else NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    __hash__ = tuple.__hash__
 
     def __lt__(self, other: object) -> bool:
         raise TypeError(f"{type(self).__name__} events are not ordered")
@@ -117,23 +105,32 @@ class Verdict(_Event, namedtuple("Verdict", "device accepted")):
 TraceEvent = Union[Activate, Step, Handoff, Verdict]
 
 
-@dataclass(frozen=True)
-class ControlTrace:
+class ControlTrace(_Frozen):
     """Event log for one input against one expression.
 
     ``devices`` maps leaf position paths to device names so renderers can
-    label events; the root composite has the empty path.
+    label events; the root composite has the empty path.  Each trace holds
+    its own copy of ``devices``, empty when none is given.
     """
+
+    __match_args__ = ("input", "overall", "events", "devices")
 
     input: Word
     overall: bool
     events: tuple[TraceEvent, ...]
-    devices: Mapping[str, str] = field(default_factory=dict)
+    devices: Mapping[str, str]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "input", tuple(self.input))
-        object.__setattr__(self, "events", tuple(self.events))
-        object.__setattr__(self, "devices", MappingProxyType(dict(self.devices)))
+    def __init__(
+        self,
+        input: Iterable[Symbol],
+        overall: bool,
+        events: Iterable[TraceEvent],
+        devices: Mapping[str, str] = MappingProxyType({}),
+    ) -> None:
+        object.__setattr__(self, "input", tuple(input))
+        object.__setattr__(self, "overall", overall)
+        object.__setattr__(self, "events", tuple(events))
+        object.__setattr__(self, "devices", MappingProxyType(dict(devices)))
 
 
 def control_trace(

@@ -170,6 +170,25 @@ def outcome(operator, *operands):
         return type(err), str(err)
 
 
+def declared_apart(automaton, segment):
+    """``automaton`` with each declared state under ``segment``, and each
+    state it mentions but does not declare left as it is."""
+
+    def renamed(s):
+        return StateId((segment, *s.namespace), s.local) if s in automaton.states else s
+
+    return Automaton(
+        alphabet=automaton.alphabet,
+        states={renamed(s) for s in automaton.states},
+        initial=renamed(automaton.initial),
+        transitions={
+            (renamed(source), symbol): {renamed(t) for t in targets}
+            for (source, symbol), targets in automaton.transitions.items()
+        },
+        finals={renamed(s) for s in automaton.finals},
+    )
+
+
 class TestOperatorsMatchTheReferences:
     """``instantiate``, ``concat`` and ``parallel`` against the set-based
     references in ``oracles``, which share no code with them."""
@@ -220,6 +239,31 @@ class TestOperatorsMatchTheReferences:
             (parallel, reference_parallel),
         ):
             assert outcome(operator, left, right) == outcome(reference, left, right)
+
+    @given(invalid_automata(), invalid_automata())
+    @settings(max_examples=100, deadline=None)
+    def test_concat_and_parallel_on_shared_undeclared_states(self, left, right):
+        # Declared states apart, undeclared ones (``GHOSTS``) kept: both
+        # operands may have edges out of one undeclared state on one
+        # symbol, and the composite keeps the targets of both.
+        left, right = declared_apart(left, "L"), declared_apart(right, "R")
+        for operator, reference in (
+            (concat, reference_concat),
+            (parallel, reference_parallel),
+        ):
+            assert outcome(operator, left, right) == outcome(reference, left, right)
+
+    def test_edges_out_of_one_undeclared_state_are_merged(self):
+        ghost, s0, t0 = state("g"), state("s0"), state("t0")
+        left = Automaton({A}, {s0}, s0, {(ghost, A): {s0}}, {s0})
+        right = Automaton({A}, {t0}, t0, {(ghost, A): {t0}}, {t0})
+        for operator, reference in (
+            (concat, reference_concat),
+            (parallel, reference_parallel),
+        ):
+            built = operator(left, right)
+            assert built.targets(ghost, A) == {s0, t0}
+            assert built == reference(left, right)
 
     @given(st.lists(leaf_automata(), min_size=3, max_size=4))
     @settings(max_examples=50, deadline=None)

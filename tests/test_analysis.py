@@ -35,6 +35,7 @@ from .oracles import (
     in_l2,
     is_empty,
     product,
+    reference_verdict,
 )
 from .strategies import automata
 
@@ -111,6 +112,21 @@ class TestProduct:
         padded = determinize(pad_alphabet(n1, {letter("c")}))
         with pytest.raises(AlphabetMismatchError):
             product(determinize(n1), padded, lambda x, y: x or y)
+        with pytest.raises(AlphabetMismatchError):
+            reference_verdict(determinize(n1), padded)
+
+    def test_verdict_is_the_least_word_of_the_xor_product(self, n1, n2):
+        # ``reference_verdict`` searches the pairs without building the
+        # product; it must find what ``is_empty`` finds on the product.
+        rng = random.Random(31)
+        dfas = [determinize(n1), determinize(n2)]
+        dfas += [determinize(random_automaton(rng, 5)) for _ in range(40)]
+        for left, right in zip(dfas, dfas[1:] + dfas[:1]):
+            least = is_empty(product(left, right, lambda x, y: x != y))
+            verdict = reference_verdict(left, right)
+            assert verdict.counterexample == least
+            assert verdict.equivalent == (least is None)
+        assert reference_verdict(dfas[0], dfas[0]).equivalent
 
 
 class TestEquivalent:

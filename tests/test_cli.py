@@ -538,6 +538,34 @@ class TestImportFootprint:
         )
         assert (done.stdout.splitlines()[-1], done.stderr) == ("0 []", "")
 
+    def test_no_subcommand_loads_dataclasses_or_inspect(self):
+        # The calls run in turn in one interpreter; after each, neither
+        # module may be loaded.  Importing ``dataclasses`` loads
+        # ``inspect``, and the two cost more than the package's own code.
+        calls = [
+            ["check", N1],
+            ["accept", "-d", N1, "-e", "N1", "-i", "abaabaa"],
+            ["trace", "-d", N1, N2, "-e", "N1 ; N2", "-i", "aabaaaab"],
+            ["trace", "-d", N1, N2, "-e", "N1 ; N2", "-i", "aabaaaab", "--json"],
+            ["equiv", "-d", N1, N2, "-e", "N1 | N2", "-e2", "N2 | N1"],
+            ["compose", "-d", N1, "-e", "N1", "-o", os.devnull],
+            ["dfa", "-d", N1, N2, "-e", "N1 | N2", "-o", os.devnull],
+            ["dot", "-d", N1, "-e", "N1"],
+            ["props", "--seed", "1", "--cases", "3"],
+        ]
+        done = run_python(
+            "-c",
+            "import contextlib, io, sys\n"
+            "from nfalgebra.cli import run_cli\n"
+            f"for argv in {calls!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = run_cli(argv)\n"
+            "    loaded = {'dataclasses', 'inspect'} & sys.modules.keys()\n"
+            "    print(*argv[:1], *argv[-1:], code, sorted(loaded))",
+        )
+        expected = [f"{argv[0]} {argv[-1]} 0 []" for argv in calls]
+        assert (done.stdout.splitlines(), done.stderr) == (expected, "")
+
 
 class TestUsage:
     def test_no_arguments(self, capsys):

@@ -1,11 +1,11 @@
 """The seeded generator and the composition-law suite."""
 
-import dataclasses
 import random
 import textwrap
 
 from nfalgebra import (
     EPSILON,
+    Automaton,
     Concat,
     elaborate,
     parse_expression,
@@ -21,6 +21,17 @@ from .oracles import reference_enumerate_language
 from .strategies import random_expression
 
 
+def with_transitions(automaton, transitions):
+    """``automaton`` with its transition map replaced."""
+    return Automaton(
+        alphabet=automaton.alphabet,
+        states=automaton.states,
+        initial=automaton.initial,
+        transitions=transitions,
+        finals=automaton.finals,
+    )
+
+
 def without_bridges(expr, env):
     """``elaborate``, with the ';' bridges dropped: a sequential composite
     then accepts nothing."""
@@ -31,7 +42,7 @@ def without_bridges(expr, env):
         key: frozenset(t for t in targets if t.namespace[:1] == key[0].namespace[:1])
         for key, targets in composite.transitions.items()
     }
-    return dataclasses.replace(composite, transitions=transitions)
+    return with_transitions(composite, transitions)
 
 
 def without_right_fork_edge(expr, env):
@@ -45,7 +56,7 @@ def without_right_fork_edge(expr, env):
     transitions[fork] = frozenset(
         t for t in transitions[fork] if t.namespace[:1] == ("L",)
     )
-    return dataclasses.replace(composite, transitions=transitions)
+    return with_transitions(composite, transitions)
 
 
 class TestRandomAutomaton:

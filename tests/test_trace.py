@@ -1,8 +1,6 @@
 """Control-flow traces and the operand-level oracles."""
 
-import copy
 import dataclasses
-import pickle
 import random
 
 import pytest
@@ -39,6 +37,7 @@ from nfalgebra.properties import all_words, random_automaton
 from . import oracles
 from .oracles import reference_control_trace, trace_payload
 from .strategies import expressions, leaf_devices as leaf_automata, words
+from .values import observed
 
 # Fields for one value of each event class.
 EVENT_FIELDS = {
@@ -49,61 +48,19 @@ EVENT_FIELDS = {
 }
 
 
-def raised(action):
-    """The class and message of what ``action()`` raises, or None."""
-    try:
-        action()
-    except Exception as err:  # noqa: BLE001 - the outcome is the point
-        return type(err), str(err)
-    return None
-
-
-def observed(module, name):
-    """What one event class of ``module`` does as a value."""
-    cls = getattr(module, name)
-    fields = EVENT_FIELDS[name]
-    event = cls(*fields)
-    twin = cls(**dict(zip(cls.__match_args__, fields)))
-    plain = tuple(fields)
-    # Another event class with the same fields, where one has as many.
-    others = [
-        getattr(module, other)(*fields)
-        for other, values in EVENT_FIELDS.items()
-        if other != name and len(values) == len(fields)
-    ]
-    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
-    copies = [pickle.loads(pickle.dumps(event, p)) for p in protocols]
-    copies += [copy.copy(event), copy.deepcopy(event)]
-    return {
-        "repr": repr(event),
-        "match_args": cls.__match_args__,
-        "twin": (event == twin, event != twin, hash(event) == hash(twin)),
-        "hash": hash(event),
-        "plain": (event == plain, plain == event, event != plain, plain != event),
-        "others": [(event == o, o == event, event != o, o != event) for o in others],
-        "setattr": raised(lambda: setattr(event, cls.__match_args__[0], "x")),
-        "delattr": raised(lambda: delattr(event, cls.__match_args__[0])),
-        "order": [
-            raised(lambda: event < twin)[0],
-            raised(lambda: event >= twin)[0],
-            raised(lambda: plain < event)[0],
-            raised(lambda: sorted([event, twin]))[0],
-        ],
-        "copies": [(type(c) is cls, c == event, hash(c), repr(c)) for c in copies],
-    }
-
-
 class TestEventValueSemantics:
     """Each event is the value its frozen dataclass in ``oracles`` was."""
 
     @pytest.mark.parametrize("name", sorted(EVENT_FIELDS))
     def test_behaves_as_the_reference_dataclass(self, name):
         assert dataclasses.is_dataclass(getattr(oracles, name))
-        assert observed(trace_module, name) == observed(oracles, name)
+        assert observed(trace_module, name, EVENT_FIELDS) == observed(
+            oracles, name, EVENT_FIELDS
+        )
 
     @pytest.mark.parametrize("name", sorted(EVENT_FIELDS))
     def test_values(self, name):
-        outcome = observed(trace_module, name)
+        outcome = observed(trace_module, name, EVENT_FIELDS)
         assert outcome["twin"] == (True, False, True)
         assert outcome["hash"] == hash(EVENT_FIELDS[name])
         assert outcome["plain"] == (False, False, True, True)
