@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
+from itertools import repeat
 from operator import add, or_
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -307,14 +308,17 @@ def dfa_to_automaton(dfa: Dfa) -> Automaton:
     letters = sorted(dfa.alphabet, key=symbol_key)
     names = [StateId((), f"d{i}") for i in range(len(dfa.states))]
     singletons = [frozenset({name}) for name in names]
+    # One column of the table per letter: its keys pair every row's name
+    # with the letter, its values are the rows' targets.
+    transitions: dict[tuple[StateId, Symbol], frozenset[StateId]] = {}
+    for sym, column in zip(letters, zip(*dfa.transition)):
+        transitions.update(
+            zip(zip(names, repeat(sym)), map(singletons.__getitem__, column))
+        )
     return Automaton(
         alphabet=dfa.alphabet,
         states=frozenset(names),
         initial=names[0],
-        transitions={
-            (names[i], sym): singletons[target]
-            for i, row in enumerate(dfa.transition)
-            for sym, target in zip(letters, row)
-        },
+        transitions=transitions,
         finals=frozenset(names[i] for i in dfa.finals),
     )

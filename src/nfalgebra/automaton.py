@@ -87,7 +87,8 @@ class _Frozen:
     plain tuple, which a tuple-based value would otherwise equal), the hash
     of the field tuple, no ordering, and ``FrozenInstanceError`` on any
     assignment or deletion.  Pickling and copying work as for any object,
-    by ``__dict__``, or by constructor where a subclass says so.
+    by ``__dict__``, or by constructor where a subclass says so: the values
+    holding a mapping proxy, which does not pickle, do.
     """
 
     __slots__ = ()
@@ -262,6 +263,8 @@ _state_order = attrgetter("_key")
 
 def state(text: str) -> StateId:
     """Parse a dotted path: ``L.R.p0`` is state ``p0`` under namespace (L, R)."""
+    if "." not in text:
+        return StateId((), text)
     *namespace, local = text.split(".")
     return StateId(tuple(namespace), local)
 
@@ -279,7 +282,8 @@ class Automaton(_Frozen):
     the empty-string symbol as a key; empty successor sets are dropped on
     construction so equal automata compare equal regardless of how their
     maps were written down.  The value keeps an instance ``__dict__``, where
-    ``_kernel`` caches its compiled kernel.
+    ``_kernel`` caches its compiled kernel; pickling and copying go through
+    the constructor, so a copy carries no kernel.
     """
 
     __match_args__ = ("alphabet", "states", "initial", "transitions", "finals")
@@ -307,6 +311,12 @@ class Automaton(_Frozen):
         }
         object.__setattr__(self, "transitions", MappingProxyType(cleaned))
         object.__setattr__(self, "finals", finals)
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        # By constructor, with the map as a plain dict: a mapping proxy does
+        # not pickle, and the copy compiles its own kernel.
+        alphabet, states, initial, transitions, finals = self._values()
+        return type(self), (alphabet, states, initial, dict(transitions), finals)
 
     def targets(self, source: StateId, symbol: Symbol) -> frozenset[StateId]:
         return self.transitions.get((source, symbol), _NO_STATES)

@@ -162,18 +162,15 @@ def run_closure_suite(seed: int, cases: int, max_len: int = 6) -> SuiteResult:
         env = {"left": left, "right": right}
         left_language = set(enumerate_language(left, max_len, MAX_LEN))
         right_language = set(enumerate_language(right, max_len, MAX_LEN))
-        # Each law's oracle: the words its composite must accept.
-        oracles = {
-            "concat": {
-                w
-                for w in words
-                if any(
-                    w[:i] in left_language and w[i:] in right_language
-                    for i in range(len(w) + 1)
-                )
-            },
-            "parallel": left_language | right_language,
-        }
+        # Each law's oracle: the words its composite must accept.  A word is
+        # in the ";" oracle when some cut of it works; the first one settles it.
+        cut: set[Word] = set()
+        for w in words:
+            for i in range(len(w) + 1):
+                if w[:i] in left_language and w[i:] in right_language:
+                    cut.add(w)
+                    break
+        oracles = {"concat": cut, "parallel": left_language | right_language}
         checks = [
             (law, set(enumerate_language(elaborate(expr, env), max_len, MAX_LEN)))
             for law, expr in _LAWS

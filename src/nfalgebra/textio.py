@@ -20,14 +20,23 @@ state names may not contain ``#``, and the name may not contain ``#`` or
 any of ``;|()``, which expressions could not refer to: the one rule for
 device names is ``algebra.check_device_name``.
 
-Parsing splits each line on whitespace and reports every problem it finds,
-each at its line and column.  A line's token columns are worked out only
-when a diagnostic names that line, once per line, so a valid file costs no
-column bookkeeping and a line with many bad tokens costs linear time.
+Parsing reads the text in one pass, splitting each line on whitespace, and
+reports every problem it finds, each at its line and column.  It keeps
+only the section lines (``name``, ``alphabet``, ``states``, ``initial``,
+``final``) whole.  A well-formed ``trans`` line is kept as its line number
+and split again once the sections are read, when its edge is added with
+one lookup per token; only a token that misses is reported.  So nothing
+made for a trans line outlives it but its edge, however many edges the
+file has.  A line's token columns are worked out only when a diagnostic
+names that line, once per line, so a valid file costs no column
+bookkeeping and a line with many bad tokens costs linear time.
 
 Rendering is canonical: fixed section order and sorted tokens, so equal
 automata render byte-identically and every render parses back to a
-structurally equal value.
+structurally equal value.  The trans lines come straight from the
+transition map: its sources sorted once, its symbols sorted once, one
+lookup per (source, symbol) pair, and each state spelled by the text it
+was interned with.
 
 Expression grammar (``;`` composes sequentially and binds tighter than
 ``|``; both are left-associative)::
@@ -48,7 +57,8 @@ the same rule, given the alphabet it will be read against.
 from __future__ import annotations
 
 import re
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, NoReturn
 
 from . import _EXPORTS
@@ -71,6 +81,7 @@ from .automaton import (
     _Frozen,
     _state_order,
     state,
+    symbol_key,
 )
 
 __all__ = [*_EXPORTS["textio"]]
@@ -143,42 +154,52 @@ def parse_automaton(text: str) -> tuple[str, Automaton]:
                 end = start + len(token)
         diagnostics.append(ParseDiagnostic(lineno, found[index], code, message))
 
-    content: list[_Line] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
+    lines = text.splitlines()
+    numbered = enumerate(lines, start=1)
+    for lineno, raw in numbered:
+        body = raw.partition("#")[0]
         tokens = body.split()
         if tokens:
-            content.append((lineno, body, tokens))
-
-    if not content:
+            break
+    else:
         raise ParseError(
             [ParseDiagnostic(1, 1, "missing-name", "empty file: expected a name line")]
         )
 
     name = None
-    body_lines = content
-    first = content[0]
-    if first[2][0] == "name":
-        body_lines = content[1:]
-        if len(first[2]) != 2:
+    first: _Line = (lineno, body, tokens)
+    if tokens[0] == "name":
+        if len(tokens) != 2:
             report(first, 0, "malformed-line", "name takes exactly one identifier")
         else:
             try:
-                check_device_name(first[2][1])
+                check_device_name(tokens[1])
             except ValueError as err:
                 report(first, 1, "bad-name", str(err))
             else:
-                name = first[2][1]
+                name = tokens[1]
     else:
         report(first, 0, "missing-name", "first content line must be 'name <ident>'")
+        numbered = chain([(lineno, raw)], numbered)
 
-    # Each section's whole line, its directive at token 0.
+    # Each section's whole line, its directive at token 0, and the line
+    # number of each well-formed trans line, whose edge is added once the
+    # sections are known.
     sections: dict[str, _Line] = {}
-    edges: list[_Line] = []
-    for line in body_lines:
-        directive = line[2][0]
-        if directive == "name":
-            report(line, 0, "duplicate-section", "name already declared")
+    edges: list[int] = []
+    for lineno, raw in numbered:
+        body = raw.partition("#")[0]
+        tokens = body.split()
+        if not tokens:
+            continue
+        directive = tokens[0]
+        if directive == "trans" and len(tokens) == 4:
+            edges.append(lineno)
+            continue
+        line = (lineno, body, tokens)
+        if directive == "trans":
+            message = "trans takes exactly: <from> <letter|eps> <to>"
+            report(line, 0, "malformed-line", message)
         elif directive in _SECTION_DIRECTIVES:
             if directive in sections:
                 report(
@@ -187,20 +208,12 @@ def parse_automaton(text: str) -> tuple[str, Automaton]:
                     "duplicate-section",
                     f"{directive} already declared on line {sections[directive][0]}",
                 )
-            elif directive == "initial" and len(line[2]) != 2:
+            elif directive == "initial" and len(tokens) != 2:
                 report(line, 0, "malformed-line", "initial takes exactly one state")
             else:
                 sections[directive] = line
-        elif directive == "trans":
-            if len(line[2]) != 4:
-                report(
-                    line,
-                    0,
-                    "malformed-line",
-                    "trans takes exactly: <from> <letter|eps> <to>",
-                )
-            else:
-                edges.append(line)
+        elif directive == "name":
+            report(line, 0, "duplicate-section", "name already declared")
         else:
             report(line, 0, "unknown-directive", f"unknown directive {directive!r}")
 
@@ -248,16 +261,27 @@ def parse_automaton(text: str) -> tuple[str, Automaton]:
     finals.discard(None)
 
     symbols = {**alphabet, EPSILON_TOKEN: EPSILON}
-    transitions: dict[tuple[StateId, Symbol], set[StateId]] = {}
-    for line in edges:
-        source = resolve_state(line, 1)
-        target = resolve_state(line, 3)
-        symbol = symbols.get(line[2][2])
-        if symbol is None:
-            message = f"letter {line[2][2]!r} is not in the alphabet"
-            report(line, 2, "unknown-symbol", message)
-        if source is not None and target is not None and symbol is not None:
-            transitions.setdefault((source, symbol), set()).add(target)
+    state_of, symbol_of = states_by_token.get, symbols.get
+    transitions: dict[tuple[StateId, Symbol], list[StateId]] = {}
+    for lineno in edges:
+        body = lines[lineno - 1].partition("#")[0]
+        _, from_token, symbol_token, to_token = tokens = body.split()
+        source, target = state_of(from_token), state_of(to_token)
+        symbol = symbol_of(symbol_token)
+        if source is None or symbol is None or target is None:
+            line = (lineno, body, tokens)
+            resolve_state(line, 1)
+            resolve_state(line, 3)
+            if symbol is None:
+                message = f"letter {symbol_token!r} is not in the alphabet"
+                report(line, 2, "unknown-symbol", message)
+            continue
+        key = (source, symbol)
+        targets = transitions.get(key)
+        if targets is None:
+            transitions[key] = [target]
+        else:
+            targets.append(target)
 
     if diagnostics:
         diagnostics.sort(key=lambda d: (d.line, d.column))
@@ -274,17 +298,46 @@ def parse_automaton(text: str) -> tuple[str, Automaton]:
     return name, automaton
 
 
+# A state's dotted spelling, read without calling ``StateId.__str__``.
+_spelling = attrgetter("_text")
+
+
 def render_automaton(automaton: Automaton, name: str = "A") -> str:
-    """Canonical text for an automaton: sorted, byte-stable, reparseable."""
+    """Canonical text for an automaton: sorted, byte-stable, reparseable.
+
+    Each trans line joins its source's ``trans <source>`` head, its
+    symbol's `` <letter> `` middle, each built once, and its target's
+    spelling.
+    """
     check_device_name(name)
     lines = [
         f"name {name}",
         " ".join(["alphabet", *map(str, automaton.letters())]),
-        " ".join(["states", *map(str, sorted(automaton.states, key=_state_order))]),
+        " ".join(
+            ["states", *map(_spelling, sorted(automaton.states, key=_state_order))]
+        ),
         f"initial {automaton.initial}",
-        " ".join(["final", *map(str, sorted(automaton.finals, key=_state_order))]),
+        " ".join(
+            ["final", *map(_spelling, sorted(automaton.finals, key=_state_order))]
+        ),
     ]
-    lines.extend(f"trans {s} {symbol} {t}" for s, symbol, t in automaton.edges())
+    transitions = automaton.transitions
+    sources = sorted(set(map(itemgetter(0), transitions)), key=_state_order)
+    symbols = sorted(set(map(itemgetter(1), transitions)), key=symbol_key)
+    middles = [(symbol, f" {symbol} ") for symbol in symbols]
+    targets_of = transitions.get
+    append = lines.append
+    for source in sources:
+        head = "trans " + source._text
+        for symbol, middle in middles:
+            targets = targets_of((source, symbol))
+            if targets is None:
+                continue
+            stem = head + middle
+            if len(targets) > 1:
+                targets = sorted(targets, key=_state_order)
+            for target in targets:
+                append(stem + target._text)
     return "\n".join(lines) + "\n"
 
 

@@ -132,6 +132,12 @@ class ControlTrace(_Frozen):
         object.__setattr__(self, "events", tuple(events))
         object.__setattr__(self, "devices", MappingProxyType(dict(devices)))
 
+    def __reduce__(self) -> tuple[type, tuple]:
+        # By constructor, with ``devices`` as a plain dict: a mapping proxy
+        # does not pickle.
+        input, overall, events, devices = self._values()
+        return type(self), (input, overall, events, dict(devices))
+
 
 def control_trace(
     expr: CompositionExpr, env: DeviceEnvironment, input_word: Iterable[Symbol]

@@ -25,6 +25,9 @@ its renaming, bridge or fork.
 ``reference_parse_automaton`` is the automaton-file parser that tracked a
 column for every token as it read it, where ``parse_automaton`` finds
 columns only for the lines its diagnostics name.
+``reference_render_automaton`` is the writer that spelled one line per
+triple of ``Automaton.edges()``, where ``render_automaton`` walks the
+transition map itself.
 ``Activate``, ``Step``, ``Handoff`` and ``Verdict`` are the frozen
 dataclass events that the package's named-tuple events replaced, and
 ``reference_control_trace`` builds a trace of them the way the package
@@ -667,6 +670,21 @@ def reference_parse_automaton(text: str) -> tuple[str, Automaton]:
         finals=frozenset(finals),
     )
     return name, automaton
+
+
+def reference_render_automaton(automaton: Automaton, name: str = "A") -> str:
+    """The canonical text as ``render_automaton`` once wrote it: one line
+    per triple of ``Automaton.edges()``, every state spelled by ``str``.
+    The name is not checked."""
+    lines = [
+        f"name {name}",
+        " ".join(["alphabet", *map(str, automaton.letters())]),
+        " ".join(["states", *map(str, sorted(automaton.states))]),
+        f"initial {automaton.initial}",
+        " ".join(["final", *map(str, sorted(automaton.finals))]),
+    ]
+    lines.extend(f"trans {s} {symbol} {t}" for s, symbol, t in automaton.edges())
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

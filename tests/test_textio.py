@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nfalgebra import (
+    EPSILON,
+    Automaton,
     Concat,
     Device,
     Parallel,
@@ -29,8 +31,8 @@ from nfalgebra import (
 )
 from nfalgebra.properties import random_automaton
 
-from .oracles import reference_parse_automaton
-from .strategies import corrupted_files, random_expression
+from .oracles import reference_parse_automaton, reference_render_automaton
+from .strategies import corrupted_files, invalid_automata, random_expression
 
 # Letter spellings for the input-word round trip: one-character letters
 # only (which spell e·p·s), then mixes of one-character and longer letters.
@@ -181,6 +183,24 @@ class TestParseAutomatonAgainstReference:
     @example("name\xa0T\u3000x\nstates s0\tp0 s0\ninitial s9\nfinal s0 s0 s9\n")
     @example("trans s0 a\nname T\nname T\nalphabet eps a a x,y\ninitial s0 s1\n")
     @example("name A;B\nstates a..b .s0 s0\ninitial s0\nfinal a..b\n")
+    # Trans lines are kept by line number and split again once the sections
+    # are read, so place them before the name and the states lines, give
+    # them trailing comments, malformed neighbours and repeats.
+    @example("trans s0 a s1\nname T\nalphabet a\nstates s0 s1\ninitial s0\n")
+    @example("name T\nalphabet a\ntrans s0 a s1\nstates s0 s1\ninitial s0\nfinal s1\n")
+    @example("name T\ntrans s0 b s9\nstates s0\ninitial s0\ntrans s0 eps s0\n")
+    @example(
+        "name T\nalphabet a\nstates s0 s1\ninitial s0\n"
+        "trans s0 a s1 # note\ntrans\xa0s1 a\ts0#note\ntrans s1 b s9 #\n"
+    )
+    @example(
+        "name T\nalphabet a\nstates s0\ninitial s0\ntrans s0 a s0\n"
+        "trans s0 a\ntrans s0 eps s0\ntrans s0 a s0 s0\ntrans s0 a s9\n"
+    )
+    @example(
+        "name T\nalphabet a\nstates s0 s1\ninitial s0\nfinal s1\n"
+        "trans s0 a s1\ntrans s0 a s1\ntrans s0 a s0\ntrans s0 a s1\n"
+    )
     def test_same_value_or_same_diagnostics(self, text):
         assert parse_outcome(parse_automaton, text) == parse_outcome(
             reference_parse_automaton, text
@@ -223,8 +243,48 @@ class TestRenderAutomaton:
             expr = random_expression(rng, names)
             composite = elaborate(expr, device_env)
             rendered = render_automaton(composite, "c")
+            assert rendered == reference_render_automaton(composite, "c")
             _, reparsed = parse_automaton(rendered)
             assert reparsed == composite
+
+    @given(invalid_automata())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_reference_on_invalid_automata(self, automaton):
+        # Undeclared endpoints and initial or final states, letters outside
+        # the alphabet, keys with several targets, empty-string edges.
+        assert render_automaton(automaton, "T") == reference_render_automaton(
+            automaton, "T"
+        )
+
+    def test_matches_the_reference_across_namespaces(self):
+        a, b, c = letter("a"), letter("b"), letter("c")
+        p0, q1, l0, lr1 = state("p0"), state("q1"), state("L.p0"), state("L.R.p1")
+        automaton = Automaton(
+            alphabet=frozenset({a, b}),
+            states=frozenset({p0, l0}),
+            initial=q1,
+            transitions={
+                (lr1, EPSILON): frozenset({p0, q1}),
+                (l0, c): frozenset({lr1}),
+                (p0, b): frozenset({lr1, l0, q1, p0}),
+                (p0, EPSILON): frozenset({l0}),
+                (p0, a): frozenset({q1}),
+            },
+            finals=frozenset({lr1, q1}),
+        )
+        rendered = render_automaton(automaton, "T")
+        assert rendered == reference_render_automaton(automaton, "T")
+        assert rendered.splitlines()[5:] == [
+            "trans p0 eps L.p0",
+            "trans p0 a q1",
+            "trans p0 b p0",
+            "trans p0 b q1",
+            "trans p0 b L.p0",
+            "trans p0 b L.R.p1",
+            "trans L.p0 c L.R.p1",
+            "trans L.R.p1 eps p0",
+            "trans L.R.p1 eps q1",
+        ]
 
     def test_name_is_validated(self, n1):
         with pytest.raises(ValueError):
@@ -342,8 +402,6 @@ class TestRenderDot:
         assert '"entry point" -> "r0";' in dot
 
     def test_single_state_automaton(self):
-        from nfalgebra import Automaton
-
         s0 = state("s0")
         lonely = Automaton(
             alphabet=frozenset({letter("a")}),
