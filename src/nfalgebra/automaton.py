@@ -25,7 +25,6 @@ alphabet check, which raises ``UnknownSymbolError``.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property, total_ordering
 from operator import attrgetter
 from types import MappingProxyType
@@ -488,13 +487,26 @@ class _Kernel:
     co-reachable mask of each position, the states from which the rest of
     the word leads to a final state.
 
+    ``witness`` runs on configurations (position, state) and counts every
+    move, so it needs a finer backward pass: ``distances`` gives each live
+    configuration its remaining empty-string count, the fewest
+    empty-string moves of a run from it to a final state.  Its remaining
+    distance is that count plus the letters left, and a shortest run is
+    one whose every move lowers the distance by one: an empty-string move
+    to a count one less, or a letter move to the same count.  ``walk``
+    takes, from each configuration, the least such move by (target,
+    empty-string before letter); since every such move leaves a shortest
+    run open, the moves it takes spell the least shortest run, the one
+    ``witness`` promises.
+
     Compiling is the one validity gate: an automaton that ``validate``
     rejects raises ``InvalidAutomatonError`` here, so nothing that runs on
     the kernel meets an undeclared state or an unknown letter.
 
     Nothing changes after construction except two tables built on first
-    use: ``moves``, the search moves of ``witness``, and ``predecessors``,
-    the reversed successor table that ``live`` walks.  Each is a
+    use: ``one_step``, the single moves that ``distances`` and ``walk``
+    count, and ``predecessors``, the reversed successor table that
+    ``live`` walks, built from it.  Each is a
     ``functools.cached_property``, stored in the instance ``__dict__``
     once built.  On Python 3.10 and 3.11 the build holds that property's
     lock, which is shared by every kernel; from 3.12 on there is no lock,
@@ -575,45 +587,206 @@ class _Kernel:
         set ``S`` is every state from which letter ``k`` and then
         empty-string moves can reach ``S``.
         """
-        n = len(self.states)
-        coclosure = [0] * n
-        for i, mask in enumerate(self.closure):
-            for j in _bits(mask):
-                coclosure[j] |= 1 << i
-        rows = []
-        for direct in self.direct:
-            row = [0] * n
-            for j, targets in enumerate(direct):
-                for t in _bits(targets):
-                    row[t] |= coclosure[j]
-            rows.append(row)
+        coclosure = _reverse(self.closure)
+        rows = [[_gather(coclosure, m) for m in row] for row in self.one_step[0]]
         return rows, _gather(coclosure, self.finals)
 
     @cached_property
-    def moves(self) -> tuple[list[list[tuple[int, ...]]], list[tuple[int, ...]]]:
-        """The moves of ``witness``'s search, as offsets between configurations.
+    def one_step(self) -> tuple[list[list[int]], list[int], list[int]]:
+        """The single moves, with no closure taken, as masks.
 
-        A configuration ``position * n + state`` moves to ``config + offset``.
-        ``moves[0][k][i]`` lists state ``i``'s moves while letter ``k`` is
-        next, ordered by (target, empty-string before letter);
-        ``moves[1][i]`` its empty-string moves once the input is read.
+        ``one_step[0][k][t]`` is the set of states with a move on letter
+        ``k`` to state ``t``, ``one_step[1][t]`` the set with an
+        empty-string move to ``t``, and ``one_step[2][i]`` the set of
+        state ``i``'s empty-string targets.
         """
-        n = len(self.states)
-        epsilon = [tuple(t - i for t in ts) for i, ts in enumerate(self.epsilon)]
-        on_letter = [
-            [
-                tuple(
-                    t - i + n * consumed
-                    for t, consumed in sorted(
-                        [(t, 0) for t in self.epsilon[i]]
-                        + [(t, 1) for t in _bits(row[i])]
-                    )
+        epsilon = [sum(1 << t for t in targets) for targets in self.epsilon]
+        return [_reverse(row) for row in self.direct], _reverse(epsilon), epsilon
+
+    def distances(
+        self, indices: list[int]
+    ) -> tuple[list[tuple[int, int]], list[dict[int, int]]] | None:
+        """The remaining empty-string count of every live configuration, as
+        ``(marks, classes)``, or None once the word is rejected.
+
+        The count of state ``i`` at position ``p`` is the fewest
+        empty-string moves of a run that reads ``w[p:]`` from ``i`` to a
+        final state.  A class groups one position's live states by count,
+        held from the least of them: it maps each count ``c`` that occurs
+        to the mask of the states ``c`` above the least.  ``marks[p]`` is
+        ``(g, shift)``: position ``p``'s class is ``classes[g]``, and its
+        least count lies ``shift`` above position ``p + 1``'s (0 at the
+        end).  Equal classes share one index.
+
+        The pass runs right to left, one ``_settle`` per letter, memoised
+        on (letter, next class) for this call as ``_sweep`` memoises
+        frontiers.  Counts held from the least make classes recur along a
+        word, so a hit is the common case, and the memo never holds more
+        entries than the word has letters.  The pass stops where no state
+        is live, and the word is rejected unless the initial state is live
+        at position 0.
+        """
+        letter_to, onto, _ = self.one_step
+        classes: list[dict[int, int]] = []
+        interned: dict[tuple[tuple[int, int], ...], int] = {}
+        mark = _settle(((0, self.finals),), None, onto, classes, interned)
+        if mark is None:
+            return None
+        marks = [mark]
+        memo: list[dict[int, tuple[int, int]]] = [{} for _ in letter_to]
+        for k in reversed(indices):
+            known, current = memo[k], mark[0]
+            mark = known.get(current)
+            if mark is None:
+                mark = _settle(
+                    classes[current].items(), letter_to[k], onto, classes, interned
                 )
-                for i in range(n)
-            ]
-            for row in self.direct
-        ]
-        return on_letter, epsilon
+                if mark is None:
+                    return None
+                known[current] = mark
+            marks.append(mark)
+        if not sum(classes[mark[0]].values()) >> self.initial & 1:
+            return None
+        marks.reverse()
+        return marks, classes
+
+    def walk(
+        self, indices: list[int], marks: list[tuple[int, int]],
+        classes: list[dict[int, int]],
+    ) -> tuple[list[StateId], list[Symbol]]:
+        """The states and symbols of the canonical run from the initial
+        state, on the ``marks`` and ``classes`` that ``distances`` gives for
+        an accepted word.
+
+        From each configuration the walk takes the least move, by (target,
+        empty-string before letter), among those whose target is one step
+        nearer a final state: an empty-string move to a count one less, or
+        a letter move to the same count, shifted into the next class.  The
+        moves taken at one position (``_descend``) depend only on (state,
+        count, letter, next class), their memo key for this call.
+        """
+        names, epsilon = self.states, self.one_step[2]
+        state = self.initial
+        for count, mask in classes[marks[0][0]].items():
+            if mask >> state & 1:
+                break
+        states, symbols = [names[state]], []
+        memo: dict[tuple[int, int, int, int], tuple] = {}
+        for position, k in enumerate(indices):
+            following = marks[position + 1][0]
+            key = (state, count, k, following)
+            moves = memo.get(key)
+            if moves is None:
+                here, shift = marks[position]
+                moves = memo[key] = _descend(
+                    names, epsilon, state, count, classes[here],
+                    self.direct[k], classes[following], shift, self.letters[k],
+                )
+            states += moves[0]
+            symbols += moves[1]
+            state, count = moves[2]
+        moves = _descend(names, epsilon, state, count, classes[marks[-1][0]])
+        states += moves[0]
+        symbols += moves[1]
+        return states, symbols
+
+
+def _descend(
+    names: tuple[StateId, ...],
+    epsilon: list[int],
+    state: int,
+    count: int,
+    here: Mapping[int, int],
+    row: list[int] | None = None,
+    there: Mapping[int, int] = MappingProxyType({}),
+    shift: int = 0,
+    symbol: Symbol = EPSILON,
+) -> tuple[tuple[StateId, ...], Word, tuple[int, int]]:
+    """The moves ``_Kernel.walk`` takes at one position from ``state`` at
+    ``count`` in class ``here``: empty-string moves (``epsilon``) until the
+    move on ``symbol`` through ``row`` into class ``there``, whose counts
+    lie ``shift`` lower; with no row, until a final state.  Gives their
+    targets, their symbols and the (state, count) they end at."""
+    states: list[StateId] = []
+    symbols: list[Symbol] = []
+    while True:
+        back = epsilon[state] & here.get(count - 1, 0)
+        ahead = there.get(count + shift, 0)
+        if ahead:
+            ahead &= row[state]
+        if ahead and not (back and back & -back <= ahead & -ahead):
+            state = (ahead & -ahead).bit_length() - 1
+            states.append(names[state])
+            symbols.append(symbol)
+            return tuple(states), tuple(symbols), (state, count + shift)
+        if not back:  # at the end of the word, in a final state
+            return tuple(states), tuple(symbols), (state, count)
+        state = (back & -back).bit_length() - 1
+        count -= 1
+        states.append(names[state])
+        symbols.append(EPSILON)
+
+
+def _reverse(rows: list[int]) -> list[int]:
+    """The reversed relation: bit ``i`` of ``_reverse(rows)[t]`` is set
+    when bit ``t`` of ``rows[i]`` is."""
+    out = [0] * len(rows)
+    for i, mask in enumerate(rows):
+        for t in _bits(mask):
+            out[t] |= 1 << i
+    return out
+
+
+def _settle(
+    groups: Iterable[tuple[int, int]],
+    row: list[int] | None,
+    onto: list[int],
+    classes: list[dict[int, int]],
+    interned: dict[tuple[tuple[int, int], ...], int],
+) -> tuple[int, int] | None:
+    """One step of ``_Kernel.distances``: the mark of the states that reach
+    ``groups`` (``(count, mask)`` pairs by ascending count) by one move
+    through ``row``, or by none when ``row`` is None; None when no state
+    does.
+
+    This is Dial's bucketed shortest path (CACM 1969) with unit weights:
+    a state with a move into a group starts in that group's bucket, and
+    each bucket, once settled, puts the unsettled sources of its
+    empty-string moves (``onto``) in the next.  Buckets are taken in count order and an empty stretch is
+    jumped over, so a step costs the buckets it settles, not the span of
+    their counts.  The class is interned in ``classes``.
+    """
+    layers: list[tuple[int, int]] = []
+    settled = frontier = 0
+    depth = -1
+    for count, mask in groups:
+        if row is not None:
+            mask = _gather(row, mask)
+        while frontier and depth + 1 < count:
+            depth += 1
+            settled |= frontier
+            layers.append((depth, frontier))
+            frontier = _gather(onto, frontier) & ~settled
+        layer = (frontier | mask) & ~settled
+        if layer:
+            depth = count
+            settled |= layer
+            layers.append((depth, layer))
+            frontier = _gather(onto, layer) & ~settled
+    while frontier:
+        depth += 1
+        settled |= frontier
+        layers.append((depth, frontier))
+        frontier = _gather(onto, frontier) & ~settled
+    if not layers:
+        return None
+    least = layers[0][0]
+    key = tuple([(d - least, mask) for d, mask in layers] if least else layers)
+    index = interned.get(key)
+    if index is None:
+        index = interned[key] = len(classes)
+        classes.append(dict(key))
+    return index, least
 
 
 def _kernel(automaton: Automaton) -> _Kernel:
@@ -666,52 +839,27 @@ def witness(automaton: Automaton, input_word: Iterable[Symbol]) -> RunWitness | 
 
     The choice is deterministic: shortest in total steps (empty-string moves
     count as steps), ties broken per step by the (state, symbol) ordering.
-    Search runs over (letters consumed, state) configurations, so cycles of
-    empty-string moves never recur and termination is immediate.  One
-    backward pass (``_Kernel.live``) first marks the live configurations,
-    those from which the rest of the input reaches a final state: it
-    decides acceptance, and the breadth-first search then queues only live
-    configurations, which leaves its result unchanged.
+    That is the run a breadth-first search over (letters consumed, state)
+    configurations finds when it tries each configuration's moves in
+    (target, empty-string before letter) order from a FIFO queue: of the
+    shortest accepting runs, the least when each is read as its sequence of
+    (target, symbol) moves.
+
+    The search here is exact and takes two passes.  A configuration's
+    remaining distance is the letters left plus its remaining empty-string
+    count, which ``_Kernel.distances`` gives for every live configuration
+    in one backward pass; that pass also decides acceptance.  A run is
+    shortest exactly when each move lowers the remaining distance by one,
+    so the least such run takes, from each configuration, the least move
+    whose target lies one step nearer, and every choice leaves a shortest
+    run open.  ``_Kernel.walk`` takes those moves greedily, left to right.
     """
-    input_word = tuple(input_word)
     kernel = _kernel(automaton)
     indices = kernel.indices(input_word)
-    live = kernel.live(indices)
-    if not live[0] >> kernel.initial & 1:
+    found = kernel.distances(indices)
+    if found is None:
         return None
-    on_letter, on_epsilon = kernel.moves
-    n, end = len(kernel.states), len(input_word)
-    # A configuration is position * n + state; sorted moves make the first
-    # discovery of each configuration the one by the least (state, symbol).
-    # Only live configurations, those that can still reach a goal, are
-    # queued: a dead one has no live successor, so skipping it changes
-    # neither the parent nor the queue order of a live one.  The initial
-    # configuration is live, so a goal is reached before the queue runs dry.
-    parents: dict[int, int] = {kernel.initial: -1}
-    queue: deque[int] = deque([kernel.initial])
-    while True:
-        config = queue.popleft()
-        position, current = divmod(config, n)
-        if position == end:
-            if kernel.finals >> current & 1:
-                break
-            offsets = on_epsilon[current]
-        else:
-            offsets = on_letter[indices[position]][current]
-        for offset in offsets:
-            successor = config + offset
-            if successor not in parents and live[successor // n] >> successor % n & 1:
-                parents[successor] = config
-                queue.append(successor)
-    states = [kernel.states[current]]
-    symbols: list[Symbol] = []
-    cursor = config
-    while (back := parents[cursor]) >= 0:
-        states.append(kernel.states[back % n])
-        symbols.append(EPSILON if back // n == cursor // n else input_word[back // n])
-        cursor = back
-    states.reverse()
-    symbols.reverse()
+    states, symbols = kernel.walk(indices, *found)
     return RunWitness(tuple(states), tuple(symbols))
 
 

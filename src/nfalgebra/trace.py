@@ -151,7 +151,9 @@ def control_trace(
 
     When it rejects, no speculative steps are emitted (replaying "the"
     failed run is ill-defined under nondeterminism); instead every leaf
-    device reports its own verdict on a full copy of the input.
+    device reports its own verdict on a full copy of the input, one
+    ``Verdict`` per leaf in left-to-right order.  Each device runs once,
+    however many leaves name it.
     """
     return _trace_composite(expr, env, elaborate(expr, env), input_word)
 
@@ -165,15 +167,16 @@ def _trace_composite(
     """``control_trace`` for a caller that already holds
     ``composite = elaborate(expr, env)``."""
     input_word = tuple(input_word)
-    leaves = leaf_devices(expr)
+    devices = dict(leaf_devices(expr))
     run = witness(composite, input_word)
     if run is None:
         alphabet = composite.alphabet
-        verdicts = [
-            Verdict(path, accepts(pad_alphabet(env[name], alphabet), input_word))
-            for path, name in leaves
-        ]
-        return ControlTrace(input_word, False, verdicts, dict(leaves))
+        decided = {
+            name: accepts(pad_alphabet(env[name], alphabet), input_word)
+            for name in dict.fromkeys(devices.values())
+        }
+        verdicts = [Verdict(path, decided[name]) for path, name in devices.items()]
+        return ControlTrace(input_word, False, verdicts, devices)
     states, symbols = run.states, run.symbols
     positions = {path for _, path in _positions(expr)}
     owned = list(map(_owners(positions, composite.states).__getitem__, states))
@@ -201,7 +204,7 @@ def _trace_composite(
             active.add(target_device)
     events += steps
     events.append(new(Verdict, (owned[-1], True)))
-    return ControlTrace(input_word, True, events, dict(leaves))
+    return ControlTrace(input_word, True, events, devices)
 
 
 def _owners(

@@ -5,19 +5,24 @@
 once per automaton.  Each is compared for exact equality with its
 reference in ``tests/oracles.py``, which runs on the ``step`` and
 ``epsilon_closure`` kept there, or on ``oracle_accepts``, and never
-touches the kernel.  ``witness`` searches only the configurations that a
-backward pass marks live; ``TestWitnessPruning`` checks that this leaves
-every run as the reference finds it.  Compiling is the one validity gate:
-every operation that simulates rejects an automaton ``validate`` rejects.
+touches the kernel.  ``witness`` takes exact remaining distances from a
+backward pass and walks them forward greedily; ``TestWitnessPruning``
+checks that this gives every run as the reference's breadth-first search
+finds it, and ``TestWitnessScaling`` that its memory and memo entries grow
+no faster than the word and not with a composite's width.  Compiling is
+the one validity gate: every operation that simulates rejects an
+automaton ``validate`` rejects.
 The subset searches step subsets through 8-bit chunk tables up to 24
 states and bit by bit above; ``TestChunkTables`` takes them across the
 chunk boundaries and that bound, which the four-state ``automata()`` never
 reach.
 """
 
+import gc
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -46,6 +51,7 @@ from nfalgebra import (
     witness,
     word,
 )
+from nfalgebra import automaton as automaton_module
 from nfalgebra.analysis import _steps, _subsets
 from nfalgebra.automaton import _gather, _Kernel, _kernel
 
@@ -249,6 +255,51 @@ DEAD_FIRST = Automaton(
 )
 
 
+T0, T1, T2, T3 = (state(f"t{i}") for i in range(4))
+
+# On a^3n the shortest run moves by the empty string after every third a
+# (t1's shortcut to t3 costs two such moves).  Counts held from a fixed
+# base would grow along the word, so that no two positions shared a
+# class; held from each position's least, they repeat.
+EVERY_THIRD = Automaton(
+    alphabet=frozenset(LETTERS),
+    states=frozenset({T0, T1, T2, T3}),
+    initial=T0,
+    transitions={
+        (T0, A): frozenset({T1}),
+        (T0, B): frozenset({T0}),
+        (T1, A): frozenset({T2}),
+        (T1, EPSILON): frozenset({T3}),
+        (T2, A): frozenset({T3}),
+        (T3, EPSILON): frozenset({T0}),
+    },
+    finals=frozenset({T0}),
+)
+
+I, A1, A2, A3, B1, B2, B3 = map(state, ("i", "a1", "a2", "a3", "b1", "b2", "b3"))
+
+# Two routes from i: route A moves by the empty string after every a,
+# route B after every b.  On a^m b^m they tie, and the gap between their
+# counts changes at every position, so no class recurs.
+TWO_ROUTES = Automaton(
+    alphabet=frozenset(LETTERS),
+    states=frozenset({I, A1, A2, A3, B1, B2, B3}),
+    initial=I,
+    transitions={
+        (I, EPSILON): frozenset({A1, B1}),
+        (A1, A): frozenset({A2}),
+        (A2, EPSILON): frozenset({A1}),
+        (A1, B): frozenset({A3}),
+        (A3, B): frozenset({A3}),
+        (B1, A): frozenset({B1}),
+        (B1, B): frozenset({B2}),
+        (B2, EPSILON): frozenset({B3}),
+        (B3, B): frozenset({B2}),
+    },
+    finals=frozenset({A3, B3}),
+)
+
+
 def member_word(rng: random.Random, n1_first: bool) -> str:
     """About 1500 letters in N1 ; N2, or in N2 ; N1 when ``n1_first`` is
     false: a random N1 word, b third from the right, and a's then b's."""
@@ -264,6 +315,17 @@ class TestWitnessPruning:
     @example(DEAD_FIRST, word("abab"))
     @settings(max_examples=200)
     def test_matches_reference(self, automaton, input_word):
+        assert witness(automaton, input_word) == reference_witness(
+            automaton, input_word
+        )
+
+    @given(seeded_automata(), words(max_len=40))
+    @example(EVERY_THIRD, word("aaab" * 10))
+    @example(EVERY_THIRD, word("aa" * 20))
+    @example(TWO_ROUTES, word("a" * 20 + "b" * 20))
+    @example(TWO_ROUTES, word("a" * 20 + "b" * 19))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_on_longer_words(self, automaton, input_word):
         assert witness(automaton, input_word) == reference_witness(
             automaton, input_word
         )
@@ -293,11 +355,100 @@ class TestWitnessPruning:
         def refuse(*args):
             raise AssertionError("searched before the alphabet check")
 
-        monkeypatch.setattr(_Kernel, "live", refuse)
-        monkeypatch.setattr(_Kernel, "moves", refuse)
+        monkeypatch.setattr(_Kernel, "one_step", property(refuse))
+        monkeypatch.setattr(_Kernel, "distances", refuse)
+        monkeypatch.setattr(_Kernel, "walk", refuse)
         input_word = word("abaab") + (letter("z"),) + word("baa")
         with pytest.raises(UnknownSymbolError, match="^symbol z is not a letter"):
             witness(n1, input_word)
+
+
+def traced_peak(automaton: Automaton, input_word) -> int:
+    """The ``tracemalloc`` peak of one accepting ``witness`` call, with the
+    kernel and its tables already built."""
+    witness(automaton, input_word[:1])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run = witness(automaton, input_word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run is not None and len(run.erased()) == len(input_word)
+    return peak
+
+
+def memo_entries(monkeypatch, automaton: Automaton, input_word) -> list[int]:
+    """The entries that ``witness``'s backward pass and forward walk put in
+    their memos: each miss calls ``_settle`` or ``_descend`` once, and each
+    makes one more call, for the end of the word, that no memo keeps."""
+    calls = [0, 0]
+    for slot, name in enumerate(("_settle", "_descend")):
+        def counted(*args, slot=slot, step=getattr(automaton_module, name)):
+            calls[slot] += 1
+            return step(*args)
+
+        monkeypatch.setattr(automaton_module, name, counted)
+    assert witness(automaton, input_word) is not None
+    monkeypatch.undo()
+    return [made - 1 for made in calls]
+
+
+def wide_parallel(env, leaves: int) -> Automaton:
+    return elaborate(parse_expression(" | ".join(["N1"] * leaves)), env)
+
+
+def ends_in_baa(length: int) -> tuple:
+    rng = random.Random(length)
+    return word("".join(rng.choice("ab") for _ in range(length - 3)) + "baa")
+
+
+class TestWitnessScaling:
+    """Scaling guards with no clock: ``tracemalloc`` peaks at size s and 2s,
+    and memo entries.
+
+    Bounds: on ``N1 | … | N1`` the peak may grow by at most a quarter from
+    32 to 64 leaves, where a search that held every live configuration
+    would double it, and stays under 2 MB at 64 leaves and 12000 letters.
+    On ``TWO_ROUTES``, where no class recurs, the peak may grow at most 2.5
+    times when the word doubles: linear, where a class that listed every
+    count up to its largest would grow as the square.  No memo ever holds
+    more entries than the word has letters, and on words whose classes
+    recur the entries do not grow with the word.
+    """
+
+    def test_width_of_a_parallel_composite(self, env):
+        input_word = ends_in_baa(3000)
+        narrow, wide = (
+            traced_peak(wide_parallel(env, k), input_word) for k in (32, 64)
+        )
+        assert wide <= 1.25 * narrow
+
+    def test_sixty_four_leaves_on_a_long_word(self, env):
+        assert traced_peak(wide_parallel(env, 64), ends_in_baa(12000)) < 2_000_000
+
+    def test_length_of_a_word_where_no_class_recurs(self):
+        short, long = (
+            traced_peak(TWO_ROUTES, word("a" * m + "b" * m)) for m in (1000, 2000)
+        )
+        assert long <= 2.5 * short
+
+    @pytest.mark.parametrize(
+        "family, recurs",
+        [
+            (lambda env, n: (wide_parallel(env, 64), ends_in_baa(n)), True),
+            (lambda env, n: (EVERY_THIRD, word("aaab" * (n // 4))), True),
+            (lambda env, n: (TWO_ROUTES, word("a" * (n // 2) + "b" * (n // 2))), False),
+        ],
+        ids=["parallel", "every-third", "two-routes"],
+    )
+    def test_memo_entries(self, env, family, recurs, monkeypatch):
+        short, long = (
+            memo_entries(monkeypatch, *family(env, n)) for n in (2000, 4000)
+        )
+        assert max(short) <= 2000 and max(long) <= 4000
+        if recurs:
+            assert long == short
 
 
 class TestEnumerateLanguage:
@@ -424,12 +575,18 @@ class TestCache:
         )
         assert accepts(fresh, word("baa"))
         kernel = _kernel(fresh)
-        assert "moves" not in vars(kernel)
+        assert "one_step" not in vars(kernel)
         assert "predecessors" not in vars(kernel)
         assert witness(fresh, word("baa")) == reference_witness(n1, word("baa"))
-        moves, predecessors = vars(kernel)["moves"], vars(kernel)["predecessors"]
+        one_step = vars(kernel)["one_step"]
+        assert "predecessors" not in vars(kernel)
+        assert splits(n1, fresh, word("abaa")) == reference_splits(
+            n1, n1, word("abaa")
+        )
+        predecessors = vars(kernel)["predecessors"]
         assert witness(fresh, word("abaa")) == reference_witness(n1, word("abaa"))
-        assert kernel.moves is moves
+        assert splits(n1, fresh, word("baa")) == reference_splits(n1, n1, word("baa"))
+        assert kernel.one_step is one_step
         assert kernel.predecessors is predecessors
 
     def test_threads_share_one_fresh_automaton(self, n1):

@@ -25,8 +25,10 @@ from nfalgebra import (
     elaborate,
     enumerate_language,
     instantiate,
+    leaf_devices,
     letter,
     parallel_verdicts,
+    parse_expression,
     splits,
     state,
     word,
@@ -203,6 +205,26 @@ class TestControlTrace:
     def test_unknown_symbol_rejected(self, env):
         with pytest.raises(UnknownSymbolError):
             control_trace(Device("N1"), env, (letter("z"),))
+
+    def test_rejection_runs_each_device_once(self, env, monkeypatch):
+        # Leaves that name one device share its verdict: one pass per name.
+        passes = []
+
+        def counted(automaton, input_word):
+            passes.append(automaton)
+            return accepts(automaton, input_word)
+
+        monkeypatch.setattr(trace_module, "accepts", counted)
+        expr = parse_expression("N1 | N2 | N1 | (N2 ; N1) | N1")
+        input_word = word("abb" * 50)
+        trace = control_trace(expr, env, input_word)
+        assert not trace.overall and len(passes) == 2
+        assert spelled(trace) == spelled(
+            reference_control_trace(expr, env, input_word)
+        )
+        assert [event.device for event in trace.events] == [
+            path for path, _ in leaf_devices(expr)
+        ]
 
 
 class TestSplits:
