@@ -84,10 +84,6 @@ class _Node(_Frozen):
     left: CompositionExpr
     right: CompositionExpr
 
-    def __init__(self, left: CompositionExpr, right: CompositionExpr) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
 
 class Concat(_Node):
     """``left ; right``: the sequential composite."""

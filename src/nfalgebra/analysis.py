@@ -120,10 +120,6 @@ class EquivalenceVerdict(_Frozen):
     equivalent: bool
     counterexample: Word | None
 
-    def __init__(self, equivalent: bool, counterexample: Word | None) -> None:
-        object.__setattr__(self, "equivalent", equivalent)
-        object.__setattr__(self, "counterexample", counterexample)
-
 
 _T = TypeVar("_T")
 

@@ -11,16 +11,17 @@ Every value here is frozen and every operation is a pure function, so the
 whole module is safe to use from any number of threads.  ``_Frozen`` is
 the one base of the package's frozen values, here and in every other
 module: it gives each value the repr, equality, hash and refusal to
-change of a frozen dataclass, and each class writes only its fields and
-its constructor.  State names and letters are interned in tables that
-only grow; each new entry goes in with one ``dict.setdefault``, so
-threads that race on a name share one object.  Simulation runs on a
-dense integer kernel that each automaton compiles on first use and caches
-outside its fields; compiling is idempotent, so a race to compile needs
-no lock.  The kernel is the one simulation path: compiling rejects an
-automaton that ``validate`` rejects, so every operation that simulates
-raises ``InvalidAutomatonError`` for one, and its letter lookup is the one
-alphabet check, which raises ``UnknownSymbolError``.
+change of a frozen dataclass, a constructor where the class writes none,
+and one pickling rule, through the constructor.  State names and letters
+are interned in tables that only grow; each new entry goes in with one
+``dict.setdefault``, so threads that race on a name share one object.
+Simulation runs on a dense integer kernel that each automaton compiles on
+first use and caches outside its fields; compiling is idempotent, so a
+race to compile needs no lock.  The kernel is the one simulation path:
+compiling rejects an automaton that ``validate`` rejects, so every
+operation that simulates raises ``InvalidAutomatonError`` for one, and
+its letter lookup is the one alphabet check, which raises
+``UnknownSymbolError``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from functools import cached_property, total_ordering
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NoReturn
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn
 
 from . import _EXPORTS
 
@@ -79,19 +80,35 @@ def check_name(text: str, kind: str, reserved: Iterable[str] = ()) -> None:
 class _Frozen:
     """The one base of the package's frozen values.
 
-    A subclass lists its fields in ``__match_args__`` and sets each once in
-    its constructor with ``object.__setattr__``.  The base gives it what a
-    frozen dataclass has: a repr of the class name and the fields, equality
-    with a value of its own class whose fields are equal (never with a
-    plain tuple, which a tuple-based value would otherwise equal), the hash
-    of the field tuple, no ordering, and ``FrozenInstanceError`` on any
-    assignment or deletion.  Pickling and copying work as for any object,
-    by ``__dict__``, or by constructor where a subclass says so: the values
-    holding a mapping proxy, which does not pickle, do.
+    A subclass lists its fields in ``__match_args__``.  When it sets them
+    in its own body and writes neither ``__init__`` nor ``__new__``, it is
+    given a constructor that takes one argument per field, in that order,
+    and stores each as given with ``object.__setattr__``; a class that
+    normalises or checks its fields writes its own, in the same way.  The
+    base gives it what a frozen dataclass has: a repr of the class name and
+    the fields, equality with a value of its own class whose fields are
+    equal (never with a plain tuple, which a tuple-based value would
+    otherwise equal), the hash of the field tuple, no ordering, and
+    ``FrozenInstanceError`` on any assignment or deletion.  Every value
+    pickles and copies through its constructor, with a mapping proxy field,
+    which does not pickle, passed as a plain dict.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        if "__match_args__" in own and "__init__" not in own and "__new__" not in own:
+            cls.__init__ = _constructor(cls)
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        # An interned name is re-interned, and a copied automaton carries no
+        # kernel.
+        return type(self), tuple(
+            dict(v) if type(v) is MappingProxyType else v for v in self._values()
+        )
 
     def _values(self) -> tuple:
         """The fields' values, in ``__match_args__`` order."""
@@ -120,6 +137,20 @@ class _Frozen:
         _refuse("delete", name)
 
 
+def _constructor(cls: type) -> Callable[..., None]:
+    """The written form of ``cls``'s constructor, compiled from source once,
+    as ``collections.namedtuple`` builds its ``__new__``: a shared
+    ``*args`` loop would cost every value a Python-level loop."""
+    fields = cls.__match_args__
+    body = "".join(f"\n    _setattr(self, {f!r}, {f})" for f in fields)
+    namespace = {"_setattr": object.__setattr__}
+    exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
+    init = namespace["__init__"]
+    init.__module__ = cls.__module__
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
 def _refuse(action: str, name: str) -> NoReturn:
     # Imported here, so only a caller that tries to change a value pays for
     # loading ``dataclasses``.
@@ -129,7 +160,7 @@ def _refuse(action: str, name: str) -> NoReturn:
 
 
 class _Interned(_Frozen):
-    """Base of the interned name values: immutable, pickled by constructor.
+    """Base of the interned name values: immutable, built in ``__new__``.
 
     Each subclass keeps one table from its constructor arguments to the one
     object built for them.  Equal values are therefore the same object, so
@@ -141,10 +172,6 @@ class _Interned(_Frozen):
     __slots__ = ()
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __reduce__(self) -> tuple[type, tuple]:
-        # Unpickling and copying call the constructor, which re-interns.
-        return (type(self), self._values())
 
 
 class Symbol(_Interned):
@@ -311,12 +338,6 @@ class Automaton(_Frozen):
         object.__setattr__(self, "transitions", MappingProxyType(cleaned))
         object.__setattr__(self, "finals", finals)
 
-    def __reduce__(self) -> tuple[type, tuple]:
-        # By constructor, with the map as a plain dict: a mapping proxy does
-        # not pickle, and the copy compiles its own kernel.
-        alphabet, states, initial, transitions, finals = self._values()
-        return type(self), (alphabet, states, initial, dict(transitions), finals)
-
     def targets(self, source: StateId, symbol: Symbol) -> frozenset[StateId]:
         return self.transitions.get((source, symbol), _NO_STATES)
 
@@ -342,10 +363,6 @@ class Violation(_Frozen):
 
     code: str
     message: str
-
-    def __init__(self, code: str, message: str) -> None:
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "message", message)
 
 
 def validate(automaton: Automaton) -> list[Violation]:
@@ -824,10 +841,6 @@ class RunWitness(_Frozen):
 
     states: tuple[StateId, ...]
     symbols: Word
-
-    def __init__(self, states: tuple[StateId, ...], symbols: Word) -> None:
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "symbols", symbols)
 
     def erased(self) -> Word:
         """The symbol sequence with empty-string entries removed."""

@@ -90,24 +90,6 @@ class LawFailure(_Frozen):
     left: Automaton
     right: Automaton
 
-    def __init__(
-        self,
-        case: int,
-        law: str,
-        word: Word,
-        composite_verdict: bool,
-        oracle_verdict: bool,
-        left: Automaton,
-        right: Automaton,
-    ) -> None:
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "law", law)
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "composite_verdict", composite_verdict)
-        object.__setattr__(self, "oracle_verdict", oracle_verdict)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
 
 class SuiteResult(_Frozen):
     """The outcome of one run of the suite: its settings and every failure."""
@@ -118,14 +100,6 @@ class SuiteResult(_Frozen):
     cases: int
     max_len: int
     failures: tuple[LawFailure, ...]
-
-    def __init__(
-        self, seed: int, cases: int, max_len: int, failures: tuple[LawFailure, ...]
-    ) -> None:
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "cases", cases)
-        object.__setattr__(self, "max_len", max_len)
-        object.__setattr__(self, "failures", failures)
 
     @property
     def ok(self) -> bool:

@@ -97,12 +97,6 @@ class ParseDiagnostic(_Frozen):
     code: str
     message: str
 
-    def __init__(self, line: int, column: int, code: str, message: str) -> None:
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "column", column)
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "message", message)
-
     def render(self) -> str:
         return f"{self.line}:{self.column}: {self.code}: {self.message}"
 

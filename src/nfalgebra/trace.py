@@ -35,12 +35,12 @@ from .automaton import (
     Automaton,
     StateId,
     Symbol,
+    UnknownSymbolError,
     Word,
     _Frozen,
     _kernel,
     _on_union_alphabet,
     accepts,
-    pad_alphabet,
     witness,
 )
 
@@ -132,12 +132,6 @@ class ControlTrace(_Frozen):
         object.__setattr__(self, "events", tuple(events))
         object.__setattr__(self, "devices", MappingProxyType(dict(devices)))
 
-    def __reduce__(self) -> tuple[type, tuple]:
-        # By constructor, with ``devices`` as a plain dict: a mapping proxy
-        # does not pickle.
-        input, overall, events, devices = self._values()
-        return type(self), (input, overall, events, dict(devices))
-
 
 def control_trace(
     expr: CompositionExpr, env: DeviceEnvironment, input_word: Iterable[Symbol]
@@ -170,11 +164,14 @@ def _trace_composite(
     devices = dict(leaf_devices(expr))
     run = witness(composite, input_word)
     if run is None:
-        alphabet = composite.alphabet
-        decided = {
-            name: accepts(pad_alphabet(env[name], alphabet), input_word)
-            for name in dict.fromkeys(devices.values())
-        }
+        decided = {}
+        for name in dict.fromkeys(devices.values()):
+            try:
+                decided[name] = accepts(env[name], input_word)
+            except UnknownSymbolError:
+                # The composite read the word, so the letter is one of the
+                # union alphabet that this device lacks.
+                decided[name] = False
         verdicts = [Verdict(path, decided[name]) for path, name in devices.items()]
         return ControlTrace(input_word, False, verdicts, devices)
     states, symbols = run.states, run.symbols

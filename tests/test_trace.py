@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nfalgebra import (
     EPSILON,
     Activate,
+    Automaton,
     Concat,
     Device,
     Handoff,
@@ -33,6 +34,8 @@ from nfalgebra import (
     state,
     word,
 )
+from nfalgebra import automaton as automaton_module
+from nfalgebra import fixtures
 from nfalgebra import trace as trace_module
 from nfalgebra.properties import all_words, random_automaton
 
@@ -225,6 +228,40 @@ class TestControlTrace:
         assert [event.device for event in trace.events] == [
             path for path, _ in leaf_devices(expr)
         ]
+
+    def test_rejection_compiles_no_padded_device(self, monkeypatch):
+        # A device over fewer letters than the composite runs on the word as
+        # it is, and a letter it lacks is its reject: no padded copy, and no
+        # kernel for one, is built per call.
+        compiled = []
+        compile_kernel = automaton_module._Kernel.__init__
+
+        def counted(kernel, automaton):
+            compiled.append(automaton)
+            compile_kernel(kernel, automaton)
+
+        monkeypatch.setattr(automaton_module._Kernel, "__init__", counted)
+        env = {"X": one_letter_loop(), "N1": fixtures.n1()}
+        for _ in range(3):
+            trace = control_trace(parse_expression("X | N1"), env, word("aabb"))
+            assert list(trace.events) == [Verdict("L", False), Verdict("R", False)]
+        # One composite per call, then X and N1 once each.
+        assert len(compiled) == 5
+
+    @pytest.mark.parametrize("text", ["X | N1", "X ; N2", "N1 | (X ; X)"])
+    def test_narrower_devices_match_the_reference_trace(self, env, text):
+        env = {**env, "X": one_letter_loop()}
+        expr = parse_expression(text)
+        for input_word in map(word, ("aabb", "aaa", "b", "", "ab", "abaabaa")):
+            want = reference_control_trace(expr, env, input_word)
+            assert spelled(control_trace(expr, env, input_word)) == spelled(want)
+
+
+def one_letter_loop():
+    """One state over {a}, initial and final, with an ``a`` loop: it
+    accepts a*, and rejects any word with a ``b``, a letter it lacks."""
+    x0, a = state("x0"), letter("a")
+    return Automaton({a}, {x0}, x0, {(x0, a): {x0}}, {x0})
 
 
 class TestSplits:
