@@ -40,7 +40,6 @@ from .automaton import (
     _NO_STATES,
     check_name,
     check_segment,
-    validate,
 )
 
 __all__ = [*_EXPORTS["algebra"]]
@@ -246,9 +245,8 @@ def elaborate(expr: CompositionExpr, env: DeviceEnvironment) -> Automaton:
             raise UnboundDeviceError(f"no device named {name!r} is bound")
         try:
             _kernel(automaton)
-        except InvalidAutomatonError:
-            detail = "; ".join(v.code for v in validate(automaton))
-            raise InvalidDeviceError(f"device {name!r} is invalid: {detail}") from None
+        except InvalidAutomatonError as err:
+            raise InvalidDeviceError(f"device {name!r} is invalid: {err.codes}") from None
         return automaton
 
     if isinstance(expr, Device):

@@ -44,7 +44,10 @@ class UnknownSymbolError(ValueError):
 
 
 class InvalidAutomatonError(ValueError):
-    """The operation requires an automaton that passes validation."""
+    """The operation requires an automaton that passes validation; ``codes``
+    holds the codes ``validate`` reports, joined by "; "."""
+
+    codes = ""
 
 
 # The marks of the expression grammar; ``textio`` tokenizes expressions
@@ -370,7 +373,11 @@ def validate(automaton: Automaton) -> list[Violation]:
 
     Codes: ``epsilon-in-alphabet``, ``initial-not-in-states``,
     ``final-not-in-states``, ``endpoint-not-in-states``, ``unknown-symbol``.
-    Violations are data, not failures: callers decide what to do with them.
+    Undeclared finals come in state order.  The edges are walked in
+    canonical order, source, then target, then symbol; each name that is
+    not a declared state, a letter or the empty-string symbol is reported
+    once, where it first occurs.  Violations are data, not failures:
+    callers decide what to do with them.
     """
     report: list[Violation] = []
     if EPSILON in automaton.alphabet:
@@ -387,44 +394,39 @@ def validate(automaton: Automaton) -> list[Violation]:
                 f"initial state {automaton.initial} is not a declared state",
             )
         )
-    for final in sorted(automaton.finals, key=_state_order):
-        if final not in automaton.states:
-            report.append(
-                Violation(
-                    "final-not-in-states",
-                    f"final state {final} is not a declared state",
-                )
+    for final in sorted(automaton.finals - automaton.states, key=_state_order):
+        report.append(
+            Violation(
+                "final-not-in-states",
+                f"final state {final} is not a declared state",
             )
-    bad_states: set[StateId] = set()
-    bad_symbols: set[Symbol] = set()
+        )
+    # The names an edge may mention; a stray is reported where it first
+    # occurs and then joins them, so it is reported once.
+    known = {*automaton.states, *automaton.alphabet, EPSILON}
     for source, symbol, target in automaton.edges():
-        for endpoint in (source, target):
-            if endpoint not in automaton.states and endpoint not in bad_states:
-                bad_states.add(endpoint)
+        for name in (source, target, symbol):
+            if name not in known:
+                known.add(name)
                 report.append(
                     Violation(
+                        "unknown-symbol",
+                        f"transition letter {name} is not in the alphabet",
+                    )
+                    if name.__class__ is Symbol
+                    else Violation(
                         "endpoint-not-in-states",
-                        f"transition endpoint {endpoint} is not a declared state",
+                        f"transition endpoint {name} is not a declared state",
                     )
                 )
-        if (
-            not symbol.is_epsilon
-            and symbol not in automaton.alphabet
-            and symbol not in bad_symbols
-        ):
-            bad_symbols.add(symbol)
-            report.append(
-                Violation(
-                    "unknown-symbol",
-                    f"transition letter {symbol} is not in the alphabet",
-                )
-            )
     return report
 
 
 def _invalid(automaton: Automaton) -> InvalidAutomatonError:
     codes = "; ".join(v.code for v in validate(automaton))
-    return InvalidAutomatonError(f"invalid automaton: {codes}")
+    error = InvalidAutomatonError(f"invalid automaton: {codes}")
+    error.codes = codes
+    return error
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -471,21 +473,22 @@ def _sweep(start: int, table: list[list[int]], indices: list[int]) -> list[int]:
     return masks
 
 
-def _closures(epsilon: list[list[int]]) -> list[int]:
-    """Empty-string closure mask of every state, by fixpoint iteration.
+def _closures(epsilon: list[int]) -> list[int]:
+    """Empty-string closure mask of every state, by fixpoint iteration over
+    the states with empty-string moves; ``epsilon[i]`` is the mask of state
+    ``i``'s empty-string targets.
 
     The edges ``elaborate`` adds run from lower to higher indices (``L``
     before ``R``, a fork state before both operands), so visiting states
     from the top settles them in one pass; other edges may take more.
     """
     closure = [1 << i for i in range(len(epsilon))]
+    moving = [i for i in reversed(range(len(epsilon))) if epsilon[i]]
     changed = True
     while changed:
         changed = False
-        for i in reversed(range(len(epsilon))):
-            mask = closure[i]
-            for j in epsilon[i]:
-                mask |= closure[j]
+        for i in moving:
+            mask = closure[i] | _gather(closure, epsilon[i])
             if mask != closure[i]:
                 closure[i] = mask
                 changed = True
@@ -497,9 +500,12 @@ class _Kernel:
 
     States are numbered in sorted ``StateId`` order and letters in
     ``symbol_key`` order, so comparing indices orders them as the values
-    do.  A set of states is an ``int`` bitmask: ``closure[i]`` is the
-    empty-string closure of state ``i`` and ``successors[k][i]`` the closed
-    successor mask of state ``i`` on letter ``k``.  A word runs both ways:
+    do.  A set of states is an ``int`` bitmask.  The single moves are
+    stored once, with no closure taken: ``epsilon[i]`` is the mask of state
+    ``i``'s empty-string targets and ``direct[k][i]`` that of its targets on
+    letter ``k``.  ``closure[i]`` is the empty-string closure of state ``i``
+    and ``successors[k][i]`` the closed successor mask of state ``i`` on
+    letter ``k``.  A word runs both ways:
     ``run`` gives the frontier after each prefix, and ``live`` the
     co-reachable mask of each position, the states from which the rest of
     the word leads to a final state.
@@ -521,9 +527,9 @@ class _Kernel:
     the kernel meets an undeclared state or an unknown letter.
 
     Nothing changes after construction except two tables built on first
-    use: ``one_step``, the single moves that ``distances`` and ``walk``
-    count, and ``predecessors``, the reversed successor table that
-    ``live`` walks, built from it.  Each is a
+    use: ``one_step``, the single moves reversed, which ``distances``
+    follows back from the final states, and ``predecessors``, the reversed
+    successor table that ``live`` walks, built from it.  Each is a
     ``functools.cached_property``, stored in the instance ``__dict__``
     once built.  On Python 3.10 and 3.11 the build holds that property's
     lock, which is shared by every kernel; from 3.12 on there is no lock,
@@ -542,7 +548,7 @@ class _Kernel:
         # Keyed by token: this lookup is the whole alphabet check, and the
         # token a miss reports is what the error message names.
         self.letter_index = {s.token: k for k, s in enumerate(self.letters)}
-        self.epsilon: list[list[int]] = [[] for _ in self.states]
+        self.epsilon: list[int] = [0] * len(self.states)
         self.direct: list[list[int]] = [[0] * len(self.states) for _ in self.letters]
         # A lookup that misses is an undeclared state or an edge letter
         # outside the alphabet: exactly what ``validate`` reports.
@@ -551,21 +557,15 @@ class _Kernel:
             self.finals = sum(1 << index[s] for s in automaton.finals)
             for (source, symbol), targets in automaton.transitions.items():
                 if symbol.is_epsilon:
-                    self.epsilon[index[source]].extend(
-                        sorted(index[t] for t in targets)
-                    )
+                    row = self.epsilon
                 else:
                     row = self.direct[self.letter_index[symbol.token]]
-                    row[index[source]] = sum(1 << index[t] for t in targets)
+                row[index[source]] = sum(1 << index[t] for t in targets)
         except KeyError:
             raise _invalid(automaton) from None
-        self.closure = _closures(self.epsilon)
-        self.start = self.closure[self.initial]
-        self.successors = [[self.close(mask) for mask in row] for row in self.direct]
-
-    def close(self, mask: int) -> int:
-        """The empty-string closure of a set of states."""
-        return _gather(self.closure, mask)
+        closure = self.closure = _closures(self.epsilon)
+        self.start = closure[self.initial]
+        self.successors = [[_gather(closure, m) for m in row] for row in self.direct]
 
     def indices(self, input_word: Word) -> list[int]:
         """Letter indices of a word; this lookup is the alphabet check."""
@@ -609,16 +609,15 @@ class _Kernel:
         return rows, _gather(coclosure, self.finals)
 
     @cached_property
-    def one_step(self) -> tuple[list[list[int]], list[int], list[int]]:
-        """The single moves, with no closure taken, as masks.
+    def one_step(self) -> tuple[list[list[int]], list[int]]:
+        """The single moves, with no closure taken, reversed: masks of their
+        sources.
 
         ``one_step[0][k][t]`` is the set of states with a move on letter
-        ``k`` to state ``t``, ``one_step[1][t]`` the set with an
-        empty-string move to ``t``, and ``one_step[2][i]`` the set of
-        state ``i``'s empty-string targets.
+        ``k`` to state ``t``, and ``one_step[1][t]`` the set with an
+        empty-string move to ``t``.
         """
-        epsilon = [sum(1 << t for t in targets) for targets in self.epsilon]
-        return [_reverse(row) for row in self.direct], _reverse(epsilon), epsilon
+        return [_reverse(row) for row in self.direct], _reverse(self.epsilon)
 
     def distances(
         self, indices: list[int]
@@ -643,7 +642,7 @@ class _Kernel:
         is live, and the word is rejected unless the initial state is live
         at position 0.
         """
-        letter_to, onto, _ = self.one_step
+        letter_to, onto = self.one_step
         classes: list[dict[int, int]] = []
         interned: dict[tuple[tuple[int, int], ...], int] = {}
         mark = _settle(((0, self.finals),), None, onto, classes, interned)
@@ -682,7 +681,7 @@ class _Kernel:
         moves taken at one position (``_descend``) depend only on (state,
         count, letter, next class), their memo key for this call.
         """
-        names, epsilon = self.states, self.one_step[2]
+        names, epsilon = self.states, self.epsilon
         state = self.initial
         for count, mask in classes[marks[0][0]].items():
             if mask >> state & 1:
@@ -889,8 +888,7 @@ def check_witness(
     problems: list[str] = []
     if run.states[0] != automaton.initial:
         problems.append(f"run starts at {run.states[0]}, not the initial state")
-    for index, symbol in enumerate(run.symbols):
-        source, target = run.states[index], run.states[index + 1]
+    for source, symbol, target in zip(run.states, run.symbols, run.states[1:]):
         if target not in automaton.targets(source, symbol):
             problems.append(f"illegal move {source} -{symbol}-> {target}")
     if run.states[-1] not in automaton.finals:

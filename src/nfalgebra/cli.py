@@ -175,9 +175,11 @@ def _report(err: Exception) -> None:
 
 def _read_device(path: str) -> tuple[str, Automaton]:
     """A device file's name and automaton; the only way a file is read.
-    Builtin ``open`` keeps an empty path empty (``Path("")`` is ``.``)."""
+    Builtin ``open`` keeps an empty path empty (``Path("")`` is ``.``).  A
+    leading byte-order mark, which some editors write, is dropped as the
+    ``utf-8-sig`` codec would drop it, without loading that codec."""
     with open(path, encoding="utf-8") as file:
-        return parse_automaton(file.read())
+        return parse_automaton(file.read().removeprefix("\ufeff"))
 
 
 def _write(path: str, text: str) -> None:

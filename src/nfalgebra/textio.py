@@ -1,7 +1,7 @@
 """Text formats: automaton files, expressions, input words, and DOT export.
 
-Automaton file format (UTF-8, line oriented, ``#`` starts a comment,
-tokens are whitespace-separated)::
+Automaton file format (UTF-8, with or without a leading byte-order mark,
+line oriented, ``#`` starts a comment, tokens are whitespace-separated)::
 
     name N1
     alphabet a b
@@ -18,7 +18,8 @@ alphabet, so it may not be declared as a letter.  Namespaced states join
 their path with dots (``L.p0``).  Letters may not contain ``#`` or ``,``,
 state names may not contain ``#``, and the name may not contain ``#`` or
 any of ``;|()``, which expressions could not refer to: the one rule for
-device names is ``algebra.check_device_name``.
+device names is ``algebra.check_device_name``.  The CLI drops a leading
+mark before ``parse_automaton`` sees the text.
 
 Parsing reads the text in one pass, splitting each line on whitespace, and
 reports every problem it finds, each at its line and column.  It keeps

@@ -22,6 +22,9 @@ definitions, on sets; they import nothing from the package's algebra but
 its value and error classes.  ``reference_elaborate`` is their recursive
 fold, so the one-pass ``elaborate`` is judged by code that shares none of
 its renaming, bridge or fork.
+``reference_validate`` is the ``validate`` that kept one set of reported
+states and one of reported letters, where ``validate`` keeps one set of
+known names that each stray joins once reported.
 ``reference_parse_automaton`` is the automaton-file parser that tracked a
 column for every token as it read it, where ``parse_automaton`` finds
 columns only for the lines its diagnostics name.
@@ -69,13 +72,13 @@ from nfalgebra import (
     Symbol,
     UnboundDeviceError,
     UnknownSymbolError,
+    Violation,
     Word,
     format_word,
     leaf_devices,
     pad_alphabet,
     state,
     symbol_key,
-    validate,
 )
 
 
@@ -452,7 +455,7 @@ def reference_elaborate(expr: CompositionExpr, env: DeviceEnvironment) -> Automa
         automaton = env.get(expr.name)
         if automaton is None:
             raise UnboundDeviceError(f"no device named {expr.name!r} is bound")
-        problems = validate(automaton)
+        problems = reference_validate(automaton)
         if problems:
             detail = "; ".join(v.code for v in problems)
             raise InvalidDeviceError(f"device {expr.name!r} is invalid: {detail}")
@@ -461,6 +464,62 @@ def reference_elaborate(expr: CompositionExpr, env: DeviceEnvironment) -> Automa
     right = reference_instantiate(reference_elaborate(expr.right, env), "R")
     combine = reference_concat if isinstance(expr, Concat) else reference_parallel
     return combine(left, right)
+
+
+def reference_validate(automaton: Automaton) -> list[Violation]:
+    """Every broken invariant, in ``validate``'s codes, messages and order:
+    the empty-string symbol as a letter, an undeclared initial state, each
+    undeclared final in state order, then per edge in canonical order its
+    undeclared endpoints (source, then target) and its stray letter, each
+    reported the first time it occurs."""
+    report: list[Violation] = []
+    if EPSILON in automaton.alphabet:
+        report.append(
+            Violation(
+                "epsilon-in-alphabet",
+                "the empty-string symbol is implicit and must not be stored",
+            )
+        )
+    if automaton.initial not in automaton.states:
+        report.append(
+            Violation(
+                "initial-not-in-states",
+                f"initial state {automaton.initial} is not a declared state",
+            )
+        )
+    for final in sorted(automaton.finals):
+        if final not in automaton.states:
+            report.append(
+                Violation(
+                    "final-not-in-states",
+                    f"final state {final} is not a declared state",
+                )
+            )
+    bad_states: set[StateId] = set()
+    bad_symbols: set[Symbol] = set()
+    for source, symbol, target in automaton.edges():
+        for endpoint in (source, target):
+            if endpoint not in automaton.states and endpoint not in bad_states:
+                bad_states.add(endpoint)
+                report.append(
+                    Violation(
+                        "endpoint-not-in-states",
+                        f"transition endpoint {endpoint} is not a declared state",
+                    )
+                )
+        if (
+            not symbol.is_epsilon
+            and symbol not in automaton.alphabet
+            and symbol not in bad_symbols
+        ):
+            bad_symbols.add(symbol)
+            report.append(
+                Violation(
+                    "unknown-symbol",
+                    f"transition letter {symbol} is not in the alphabet",
+                )
+            )
+    return report
 
 
 _TOKEN = re.compile(r"\S+")

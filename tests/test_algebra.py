@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,7 @@ from nfalgebra import (
     witness,
     word,
 )
-from nfalgebra import algebra, fixtures
+from nfalgebra import fixtures
 from nfalgebra import automaton as automaton_module
 from nfalgebra.properties import random_automaton, run_closure_suite
 
@@ -317,6 +318,22 @@ BROKEN_LETTER = Automaton(
 )
 
 
+def count_validate(monkeypatch) -> list:
+    """The values ``validate`` is called on, from any package module that
+    binds it, until the test ends."""
+    calls = []
+
+    def counting_validate(value):
+        calls.append(value)
+        return validate(value)
+
+    for name, module in list(sys.modules.items()):
+        bound = vars(module).get("validate")
+        if name.split(".")[0] == "nfalgebra" and bound is validate:
+            monkeypatch.setattr(module, "validate", counting_validate)
+    return calls
+
+
 class TestElaborate:
     def test_leaf_is_the_device_itself(self, n1, env):
         assert elaborate(Device("N1"), env) == n1
@@ -417,17 +434,27 @@ class TestElaborate:
 
     def test_valid_leaves_are_never_validated(self, env, monkeypatch):
         # ``validate`` only words the error for a leaf that failed to compile.
-        calls = []
-
-        def counting_validate(value):
-            calls.append(value)
-            return validate(value)
-
-        monkeypatch.setattr(algebra, "validate", counting_validate)
-        monkeypatch.setattr(automaton_module, "validate", counting_validate)
+        calls = count_validate(monkeypatch)
         elaborate(Parallel(Concat(Device("N1"), Device("N2")), Device("N1")), env)
         run_closure_suite(42, 200)
         assert calls == []
+
+    def test_an_invalid_leaf_is_validated_once(self, n1, monkeypatch):
+        # The compile's error carries the codes that word the leaf's error.
+        broken = Automaton(
+            BROKEN_LETTER.alphabet,
+            BROKEN_LETTER.states,
+            state("ghost"),
+            dict(BROKEN_LETTER.transitions),
+            BROKEN_LETTER.finals,
+        )
+        calls = count_validate(monkeypatch)
+        with pytest.raises(InvalidDeviceError) as raised:
+            elaborate(Concat(Device("N1"), Device("Bad")), {"N1": n1, "Bad": broken})
+        assert [id(value) for value in calls] == [id(broken)]
+        assert str(raised.value) == (
+            "device 'Bad' is invalid: initial-not-in-states; unknown-symbol"
+        )
 
     def test_deep_chain_needs_no_recursion(self, env, deep_chain, shallow_stack):
         names, expr, _, member = deep_chain

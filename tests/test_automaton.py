@@ -9,7 +9,7 @@ import threading
 import uuid
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from nfalgebra import (
     EPSILON,
@@ -38,9 +38,10 @@ from .oracles import (
     in_l1,
     in_l2,
     oracle_accepts,
+    reference_validate,
     step,
 )
-from .strategies import automata, words
+from .strategies import automata, invalid_automata, words
 
 A, B = letter("a"), letter("b")
 
@@ -219,7 +220,35 @@ class TestInterning:
                 Symbol("x#y")
 
 
+P0, GHOST = state("p0"), state("z9")
+
+
+def over_p0(alphabet, transitions, finals=()) -> Automaton:
+    """An automaton whose one declared state, ``p0``, is its initial state."""
+    return Automaton(
+        alphabet=frozenset(alphabet),
+        states=frozenset({P0}),
+        initial=P0,
+        transitions=transitions,
+        finals=frozenset(finals),
+    )
+
+
 class TestValidate:
+    @given(invalid_automata())
+    # An undeclared target that is the source of a later edge.
+    @example(over_p0({A, B}, {(P0, A): {GHOST}, (GHOST, B): {P0}}))
+    # A stray letter on an edge out of a ghost.
+    @example(over_p0({A, B}, {(GHOST, letter("c")): {P0}}))
+    # A ghost that is also an undeclared final.
+    @example(over_p0({A}, {(P0, A): {GHOST}}, finals={GHOST}))
+    # The empty-string symbol declared as a letter, with an edge on it.
+    @example(over_p0({A, EPSILON}, {(P0, EPSILON): {P0}}))
+    @settings(max_examples=500)
+    def test_matches_the_reference(self, automaton):
+        # Codes, messages and their order.
+        assert validate(automaton) == reference_validate(automaton)
+
     def test_bundled_device_is_clean(self, n1):
         assert validate(n1) == []
 

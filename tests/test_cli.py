@@ -80,6 +80,37 @@ class TestCheck:
         assert out == f"{N1}: ok (N1: 4 states, 7 transitions)\n"
 
 
+class TestByteOrderMark:
+    """A device file may start with a UTF-8 byte-order mark, as some editors
+    write one; only a leading mark is dropped."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{}"],
+            ["accept", "-d", "{}", "-e", "N1", "-i", "abaabaa"],
+            ["accept", "-d", "{}", "-e", "N1", "-i", "ab"],
+        ],
+        ids=["check", "accept", "reject"],
+    )
+    def test_a_leading_mark_reads_as_the_plain_file(self, capsys, tmp_path, argv):
+        marked = tmp_path / "N1.nfa"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(N1).read_bytes())
+        code, out, err = run(capsys, *[arg.format(N1) for arg in argv])
+        expected = (code, out.replace(N1, str(marked)), err)
+        assert run(capsys, *[arg.format(marked) for arg in argv]) == expected
+
+    def test_a_mark_on_a_later_line_is_still_an_error(self, capsys, tmp_path):
+        first, rest = Path(N1).read_text(encoding="utf-8").split("\n", 1)
+        marked = tmp_path / "N1.nfa"
+        marked.write_text(f"{first}\n\ufeff{rest}", encoding="utf-8")
+        code, out, err = run(capsys, "check", str(marked))
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            f"{marked}:2:1: unknown-directive: unknown directive '\\ufeffalphabet'\n"
+        )
+
+
 class TestAccept:
     def test_accepting_input(self, capsys):
         code, out, _ = run(

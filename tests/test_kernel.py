@@ -19,6 +19,7 @@ reach.
 """
 
 import gc
+import pickle
 import random
 import sys
 import threading
@@ -557,6 +558,18 @@ class TestValidityGate:
         assert rejection(broken) == f"invalid automaton: {code}"
         check_gate(broken, WIDE, input_word)
         check_gate(WIDE, broken, input_word)
+
+
+def test_the_gate_error_keeps_the_codes():
+    broken = Automaton(
+        ADRIFT.alphabet | {EPSILON}, ADRIFT.states, ADRIFT.initial, {}, ADRIFT.finals
+    )
+    with pytest.raises(InvalidAutomatonError) as raised:
+        accepts(broken, word("a"))
+    error = raised.value
+    assert error.codes == "epsilon-in-alphabet; initial-not-in-states"
+    assert str(error) == f"invalid automaton: {error.codes}"
+    assert pickle.loads(pickle.dumps(error)).codes == error.codes
 
 
 class TestCache:
