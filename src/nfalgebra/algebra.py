@@ -38,6 +38,7 @@ from .automaton import (
     _Frozen,
     _kernel,
     _NO_STATES,
+    _state_order,
     check_name,
     check_segment,
 )
@@ -179,7 +180,7 @@ def _joined(left: Automaton, right: Automaton) -> _Edges:
     does not declare; that key keeps the targets of both."""
     clash = left.states & right.states
     if clash:
-        listed = ", ".join(str(s) for s in sorted(clash)[:5])
+        listed = ", ".join(str(s) for s in sorted(clash, key=_state_order)[:5])
         raise StateClashError(f"operand state sets overlap: {listed}")
     transitions = dict(left.transitions)
     for key, targets in right.transitions.items():

@@ -14,7 +14,10 @@ module: it gives each value the repr, equality, hash and refusal to
 change of a frozen dataclass, a constructor where the class writes none,
 and one pickling rule, through the constructor.  State names and letters
 are interned in tables that only grow; each new entry goes in with one
-``dict.setdefault``, so threads that race on a name share one object.
+``dict.setdefault``, so threads that race on a name share one object.  A
+state name is given, when first interned, its dotted spelling and one flat
+string that orders as its ``(namespace, local)`` tuple, so every sort of
+states compares one string per pair.
 Simulation runs on a dense integer kernel that each automaton compiles on
 first use and caches outside its fields; compiling is idempotent, so a
 race to compile needs no lock.  The kernel is the one simulation path:
@@ -242,9 +245,15 @@ class StateId(_Interned):
 
     Composition renames operands apart by prepending namespace segments, so
     distinct device instances can never share a state.  States order by
-    ``(namespace, local)``, which each state stores as ``_key``; sorting
-    with ``key=_state_order`` compares those tuples in C.  The dotted
-    spelling is built once, when the state is first interned.
+    ``(namespace, local)``.  Each state stores, as ``_key``, one string
+    that orders exactly as that tuple, so ``__lt__`` and a sort with
+    ``key=_state_order`` compare one string per pair, however deep the
+    namespace.  The key is the parts joined by NUL with one more NUL before
+    the local part (``L.R.p0`` is ``L\\0R\\0\\0p0``): one character longer than
+    the dotted spelling.  A name that holds ``\\x00`` or ``\\x01`` first spells
+    them ``\\x01\\x02`` and ``\\x01\\x03``, which keeps both the order and
+    distinct names apart.  Both strings are built once, when the state is
+    first interned.
     """
 
     __slots__ = ("namespace", "local", "_key", "_text")
@@ -272,8 +281,17 @@ class StateId(_Interned):
         made = object.__new__(cls)
         object.__setattr__(made, "namespace", key[0])
         object.__setattr__(made, "local", local)
-        object.__setattr__(made, "_key", key)
-        object.__setattr__(made, "_text", ".".join((*key[0], local)))
+        text = ".".join((*key[0], local))
+        # From the dotted spelling: a copy or two, where a join would walk
+        # every segment of a deep namespace again.
+        order = f"{text[: len(text) - len(local)]}\0{local}".replace(".", "\0")
+        if "\1" in order or order.count("\0") > len(key[0]) + 1:
+            parts = (*key[0], "", local)
+            order = "\0".join(
+                [p.replace("\1", "\1\3").replace("\0", "\1\2") for p in parts]
+            )
+        object.__setattr__(made, "_key", order)
+        object.__setattr__(made, "_text", text)
         # setdefault is atomic: threads racing on one name keep one object.
         return cls._interned.setdefault(key, made)
 

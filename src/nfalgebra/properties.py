@@ -149,6 +149,10 @@ def run_closure_suite(seed: int, cases: int, max_len: int = 6) -> SuiteResult:
             (law, set(enumerate_language(elaborate(expr, env), max_len, MAX_LEN)))
             for law, expr in _LAWS
         ]
+        # Every language here holds only words of ``words``, so equal sets
+        # leave no word to report.
+        if all(language == oracles[law] for law, language in checks):
+            continue
         for w in words:
             for law, language in checks:
                 verdict = w in language

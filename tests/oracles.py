@@ -28,9 +28,13 @@ known names that each stray joins once reported.
 ``reference_parse_automaton`` is the automaton-file parser that tracked a
 column for every token as it read it, where ``parse_automaton`` finds
 columns only for the lines its diagnostics name.
+``reference_closure_suite`` is the closure suite's word-by-word loop,
+which checked every word even when each law's language equals its oracle.
 ``reference_render_automaton`` is the writer that spelled one line per
-triple of ``Automaton.edges()``, where ``render_automaton`` walks the
-transition map itself.
+edge triple, where ``render_automaton`` walks the transition map itself.
+Every oracle orders states by ``state_order``, their ``(namespace,
+local)`` tuple, and edges by ``canonical_edges``, never by the package's
+own sort key, ``StateId.__lt__`` or ``Automaton.edges()``.
 ``Activate``, ``Step``, ``Handoff`` and ``Verdict`` are the frozen
 dataclass events that the package's named-tuple events replaced, and
 ``reference_control_trace`` builds a trace of them the way the package
@@ -45,6 +49,7 @@ The string predicates describe the bundled devices' languages directly.
 from __future__ import annotations
 
 import itertools
+import random
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -80,10 +85,30 @@ from nfalgebra import (
     state,
     symbol_key,
 )
+from nfalgebra import properties
+from nfalgebra.properties import LawFailure, all_words, random_automaton
 
 
 class UnknownStateError(ValueError):
     """A referenced state is not part of the automaton."""
+
+
+def state_order(s: StateId) -> tuple[tuple[str, ...], str]:
+    """The canonical order of states, read from their two fields, so no
+    oracle shares the sort key of the code it checks."""
+    return s.namespace, s.local
+
+
+def canonical_edges(automaton: Automaton) -> list[tuple[StateId, Symbol, StateId]]:
+    """Every transition as a (source, symbol, target) triple, ordered by
+    source, then symbol, then target: ``Automaton.edges()`` written apart."""
+    triples = [
+        (source, symbol, target)
+        for (source, symbol), targets in automaton.transitions.items()
+        for target in targets
+    ]
+    triples.sort(key=lambda e: (state_order(e[0]), symbol_key(e[1]), state_order(e[2])))
+    return triples
 
 
 def epsilon_closure(
@@ -91,7 +116,8 @@ def epsilon_closure(
 ) -> frozenset[StateId]:
     """Smallest superset of ``sources`` closed under empty-string moves."""
     pending = list(sources)
-    unknown = sorted(s for s in pending if s not in automaton.states)
+    unknown = [s for s in pending if s not in automaton.states]
+    unknown.sort(key=state_order)
     if unknown:
         listed = ", ".join(str(s) for s in unknown)
         raise UnknownStateError(f"unknown states: {listed}")
@@ -120,7 +146,7 @@ def step(
     sources = list(current)
     unknown = [s for s in sources if s not in automaton.states]
     if unknown:
-        raise UnknownStateError(f"unknown state: {min(unknown)}")
+        raise UnknownStateError(f"unknown state: {min(unknown, key=state_order)}")
     moved: set[StateId] = set()
     for source in sources:
         moved.update(automaton.targets(source, symbol))
@@ -194,7 +220,7 @@ def reference_witness(automaton: Automaton, input_word: Word) -> RunWitness | No
                 moves.append(((position + 1, target), consumed))
         for target in automaton.targets(current, EPSILON):
             moves.append(((position, target), EPSILON))
-        moves.sort(key=lambda move: (move[0][1], symbol_key(move[1])))
+        moves.sort(key=lambda move: (state_order(move[0][1]), symbol_key(move[1])))
         for successor, symbol in moves:
             if successor not in parents:
                 parents[successor] = (config, symbol)
@@ -220,7 +246,9 @@ def reference_determinize(automaton: Automaton) -> Dfa:
     """Subset construction over sorted tuples of states, one ``step`` per
     move, numbering each subset when the queue first meets it."""
     letters = automaton.letters()
-    initial = tuple(sorted(epsilon_closure(automaton, (automaton.initial,))))
+    initial = tuple(
+        sorted(epsilon_closure(automaton, (automaton.initial,)), key=state_order)
+    )
     numbers = {initial: 0}
     rows = []
     queue = deque([initial])
@@ -228,7 +256,7 @@ def reference_determinize(automaton: Automaton) -> Dfa:
         subset = queue.popleft()
         row = []
         for sym in letters:
-            successor = tuple(sorted(step(automaton, subset, sym)))
+            successor = tuple(sorted(step(automaton, subset, sym), key=state_order))
             if successor not in numbers:
                 numbers[successor] = len(numbers)
                 queue.append(successor)
@@ -261,7 +289,7 @@ def product(
     def encode(ls: int, rs: int) -> SubsetState:
         tagged = [StateId(("L", *s.namespace), s.local) for s in left.states[ls]]
         tagged += [StateId(("R", *s.namespace), s.local) for s in right.states[rs]]
-        return tuple(sorted(tagged))
+        return tuple(sorted(tagged, key=state_order))
 
     numbers: dict[tuple[int, int], int] = {(0, 0): 0}
     rows: list[list[int]] = []
@@ -402,7 +430,7 @@ def _disjoint_union(left: Automaton, right: Automaton) -> dict:
     """Both transition relations as one map of sets, once no state is
     declared on both sides (so two valid operands share no key); the clash
     error names the five least shared states."""
-    shared = sorted(s for s in left.states if s in right.states)
+    shared = sorted((s for s in left.states if s in right.states), key=state_order)
     if shared:
         listed = ", ".join(str(s) for s in shared[:5])
         raise StateClashError(f"operand state sets overlap: {listed}")
@@ -487,7 +515,7 @@ def reference_validate(automaton: Automaton) -> list[Violation]:
                 f"initial state {automaton.initial} is not a declared state",
             )
         )
-    for final in sorted(automaton.finals):
+    for final in sorted(automaton.finals, key=state_order):
         if final not in automaton.states:
             report.append(
                 Violation(
@@ -497,7 +525,7 @@ def reference_validate(automaton: Automaton) -> list[Violation]:
             )
     bad_states: set[StateId] = set()
     bad_symbols: set[Symbol] = set()
-    for source, symbol, target in automaton.edges():
+    for source, symbol, target in canonical_edges(automaton):
         for endpoint in (source, target):
             if endpoint not in automaton.states and endpoint not in bad_states:
                 bad_states.add(endpoint)
@@ -520,6 +548,42 @@ def reference_validate(automaton: Automaton) -> list[Violation]:
                 )
             )
     return report
+
+
+def reference_closure_suite(seed: int, cases: int, max_len: int) -> list[LawFailure]:
+    """``run_closure_suite``'s failures as its word-by-word loop found them:
+    every word checked against both laws' oracles, whether or not the
+    languages differ, each verdict by ``oracle_accepts`` on
+    ``reference_elaborate``.  The laws are read from ``properties._LAWS``
+    when called, so a test that patches them patches both."""
+    rng = random.Random(seed)
+    words = all_words(max_len)
+    failures = []
+    for case in range(cases):
+        left, right = random_automaton(rng), random_automaton(rng)
+        env = {"left": left, "right": right}
+        left_language = set(reference_enumerate_language(left, max_len))
+        right_language = set(reference_enumerate_language(right, max_len))
+        oracles = {
+            "concat": {
+                w
+                for w in words
+                for i in range(len(w) + 1)
+                if w[:i] in left_language and w[i:] in right_language
+            },
+            "parallel": left_language | right_language,
+        }
+        composites = [
+            (law, reference_elaborate(expr, env)) for law, expr in properties._LAWS
+        ]
+        for w in words:
+            for law, composite in composites:
+                verdict = oracle_accepts(composite, w)
+                if verdict != (w in oracles[law]):
+                    failures.append(
+                        LawFailure(case, law, w, verdict, not verdict, left, right)
+                    )
+    return failures
 
 
 _TOKEN = re.compile(r"\S+")
@@ -733,16 +797,17 @@ def reference_parse_automaton(text: str) -> tuple[str, Automaton]:
 
 def reference_render_automaton(automaton: Automaton, name: str = "A") -> str:
     """The canonical text as ``render_automaton`` once wrote it: one line
-    per triple of ``Automaton.edges()``, every state spelled by ``str``.
+    per triple of ``canonical_edges``, every state spelled by ``str``.
     The name is not checked."""
     lines = [
         f"name {name}",
         " ".join(["alphabet", *map(str, automaton.letters())]),
-        " ".join(["states", *map(str, sorted(automaton.states))]),
+        " ".join(["states", *map(str, sorted(automaton.states, key=state_order))]),
         f"initial {automaton.initial}",
-        " ".join(["final", *map(str, sorted(automaton.finals))]),
+        " ".join(["final", *map(str, sorted(automaton.finals, key=state_order))]),
     ]
-    lines.extend(f"trans {s} {symbol} {t}" for s, symbol, t in automaton.edges())
+    triples = canonical_edges(automaton)
+    lines.extend(f"trans {s} {symbol} {t}" for s, symbol, t in triples)
     return "\n".join(lines) + "\n"
 
 

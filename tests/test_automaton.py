@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import pickle
 import random
 import sys
@@ -10,6 +11,7 @@ import uuid
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nfalgebra import (
     EPSILON,
@@ -29,6 +31,7 @@ from nfalgebra import (
     witness,
     word,
 )
+from nfalgebra.automaton import _state_order
 from nfalgebra.properties import all_words, random_automaton
 
 from .oracles import (
@@ -106,6 +109,13 @@ def build_in_threads(build, count: int = 8) -> list:
     return results
 
 
+# Name parts over the characters the flat key escapes (NUL and \x01), the
+# two that spell them escaped, and plain letters.
+NAME_PARTS = st.text(
+    ["\x00", "\x01", "\x02", "\x03", "a", "L", "R"], min_size=1, max_size=4
+)
+
+
 class TestValueSemantics:
     """What ``StateId`` and ``Symbol`` promise as values."""
 
@@ -135,6 +145,28 @@ class TestValueSemantics:
         )
         assert state("L.p0") <= state("L.p0") >= state("L.p0")
         assert state("R.p0") > state("L.p9")
+
+    @settings(max_examples=1000, deadline=None)
+    @example([(("L",), "p"), (("L", "R"), "p")])
+    @example([(("a",), "p"), (("a\x00",), "p")])
+    @example([((), "q\x01"), ((), "q"), ((), "q\x02"), (("q",), "\x01")])
+    @given(
+        st.lists(st.tuples(st.lists(NAME_PARTS, max_size=4), NAME_PARTS), max_size=8)
+    )
+    def test_flat_key_orders_as_the_name_tuple(self, names):
+        states = [StateId(namespace, local) for namespace, local in names]
+
+        def fields(s):
+            return s.namespace, s.local
+
+        assert sorted(states, key=_state_order) == sorted(states, key=fields)
+        for s, t in itertools.product(states, repeat=2):
+            assert (s < t) == (fields(s) < fields(t))
+            assert (s._key == t._key) == (s is t)
+        # The key costs one character more than the dotted spelling.
+        for s in states:
+            if "\x00" not in str(s) and "\x01" not in str(s):
+                assert len(s._key) == len(str(s)) + 1
 
     def test_symbols_are_unordered(self):
         with pytest.raises(TypeError):

@@ -5,8 +5,9 @@ exact stdout, or the bytes of the file it writes, and its exit code with
 the file of the same name under ``tests/golden/``.  The bundled devices'
 paths depend on the install, so ``$N1`` and ``$N2`` stand for them in the
 golden text.  A change to any of these files is a change to a pinned
-contract: the canonical render, the ``abaa`` counterexample, the ``d0, d1,
-...`` names, the trace JSON, the ``props`` output and the exit codes.
+contract: the canonical render and its state order, down to names four
+segments deep, the ``abaa`` counterexample, the ``d0, d1, ...`` names, the
+trace JSON, the ``props`` output and the exit codes.
 """
 
 from pathlib import Path
@@ -19,6 +20,8 @@ GOLDEN = Path(__file__).parent / "golden"
 N1 = str(fixtures.builtin_path("N1"))
 N2 = str(fixtures.builtin_path("N2"))
 DEVICES = ["-d", N1, N2]
+# Its states are named up to four namespace segments deep.
+DEEP = "((N1 ; N2) | N1) ; (N2 | (N1 ; (N2 ; N1)))"
 
 # (golden file, argv, exit code); ``-o`` names the written file's golden.
 CASES = [
@@ -39,6 +42,12 @@ CASES = [
     ),
     ("equiv.out", ["equiv", *DEVICES, "-e", "N1 ; N2", "-e2", "N2 ; N1"], 1),
     ("composite.nfa", ["compose", *DEVICES, "-e", "N1 ; N2", "-o"], 0),
+    ("compose-deep.nfa", ["compose", *DEVICES, "-e", DEEP, "-o"], 0),
+    (
+        "trace-deep.json",
+        ["trace", *DEVICES, "-e", DEEP, "-i", "baabaaababba", "--json"],
+        0,
+    ),
     ("dfa.nfa", ["dfa", *DEVICES, "-e", "N1 | N2", "-o"], 0),
     ("dot-group.out", ["dot", *DEVICES, "-e", "N1 | N2", "--group"], 0),
     ("props.out", ["props", "--seed", "42", "--cases", "200"], 0),

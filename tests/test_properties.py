@@ -7,6 +7,8 @@ from nfalgebra import (
     EPSILON,
     Automaton,
     Concat,
+    Device,
+    Parallel,
     elaborate,
     parse_expression,
     render_automaton,
@@ -17,7 +19,7 @@ from nfalgebra import (
 from nfalgebra import properties
 from nfalgebra.properties import all_words, random_automaton, run_closure_suite
 
-from .oracles import reference_enumerate_language
+from .oracles import reference_closure_suite, reference_enumerate_language
 from .strategies import random_expression
 
 
@@ -175,3 +177,16 @@ class TestClosureSuite:
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
         # Some word fails both laws, so the order between them is tested.
         assert len({key[:2] for key in keys}) < len(keys)
+
+    def test_set_comparison_reports_what_the_word_loop_reports(self, monkeypatch):
+        assert run_closure_suite(5, 20, 4).failures == ()
+        assert reference_closure_suite(5, 20, 4) == []
+        # "concat" checked on a "|" composite: its language differs from
+        # the concat oracle in some cases and equals it in others.
+        broken = Parallel(Device("left"), Device("right"))
+        laws = (("concat", broken), properties._LAWS[1])
+        monkeypatch.setattr(properties, "_LAWS", laws)
+        result = run_closure_suite(5, 20, 4)
+        failing = {failure.case for failure in result.failures}
+        assert failing and failing < set(range(20))
+        assert list(result.failures) == reference_closure_suite(5, 20, 4)
