@@ -42,7 +42,7 @@ from .automaton import (
     _bits,
     _Frozen,
     _gather,
-    _on_union_alphabet,
+    _Kernel,
     symbol_key,
 )
 
@@ -220,16 +220,18 @@ def determinize(automaton: Automaton) -> Dfa:
 def equivalent(a: Automaton, b: Automaton) -> EquivalenceVerdict:
     """Decide whether two automata accept the same language.
 
-    Both sides are padded to the union alphabet and their subset frontiers
-    are explored in pairs, breadth first with letters in canonical order,
-    stopping at the first pair on which exactly one side accepts.  This is
-    the search for the least word of the symmetric-difference product, run
-    on the fly: the languages are equal iff no such pair is reachable, and
+    The subset frontiers of both sides are explored in pairs, breadth
+    first with the letters of the union alphabet in canonical order,
+    stopping at the first pair on which exactly one side accepts; a letter
+    that one side lacks steps its frontier to the empty set.  This is the
+    search for the least word of the symmetric-difference product, run on
+    the fly: the languages are equal iff no such pair is reachable, and
     otherwise the word reaching it is the shortest counterexample,
     lexicographically least among the shortest.
     """
-    left, right = [side._kernel for side in _on_union_alphabet(a, b)]
-    moves = list(enumerate(zip(_steps(left.successors), _steps(right.successors))))
+    left, right = a._kernel, b._kernel
+    union = sorted(a.alphabet | b.alphabet, key=symbol_key)
+    moves = list(enumerate(zip(_union_steps(left, union), _union_steps(right, union))))
     start = (left.start, right.start)
     parents: dict[tuple[int, int], tuple[tuple[int, int], int] | None]
     parents = {start: None}
@@ -241,7 +243,7 @@ def equivalent(a: Automaton, b: Automaton) -> EquivalenceVerdict:
             letters: list[Symbol] = []
             while (back := parents[pair]) is not None:
                 pair, k = back
-                letters.append(left.letters[k])
+                letters.append(union[k])
             return EquivalenceVerdict(False, tuple(reversed(letters)))
         for k, (step_left, step_right) in moves:
             successor = (step_left(ls), step_right(rs))
@@ -249,6 +251,14 @@ def equivalent(a: Automaton, b: Automaton) -> EquivalenceVerdict:
                 parents[successor] = (pair, k)
                 queue.append(successor)
     return EquivalenceVerdict(True, None)
+
+
+def _union_steps(kernel: _Kernel, union: list[Symbol]) -> list[Callable[[int], int]]:
+    """``_steps`` of ``kernel`` on each letter of ``union``, an alphabet
+    that holds the kernel's own: a letter the kernel lacks steps every
+    mask to 0."""
+    steps = [*_steps(kernel.successors), lambda mask: 0]
+    return [steps[k] for k in kernel.indices(union, union)]
 
 
 def enumerate_language(

@@ -33,7 +33,10 @@ kernel is the one simulation path:
 compiling rejects an automaton that ``validate`` rejects, so every
 operation that simulates raises ``InvalidAutomatonError`` for one, and
 its letter lookup is the one alphabet check, which raises
-``UnknownSymbolError``.
+``UnknownSymbolError``.  An operation on two automata reads a letter that
+only one of them declares, in the other, as a letter on which none of its
+states moves: the lookup maps it to one no-move index, and no padded copy
+is built.
 """
 
 from __future__ import annotations
@@ -523,7 +526,8 @@ def _gather(row: list[int], mask: int) -> int:
 def _sweep(start: int, table: list[list[int]], indices: list[int]) -> list[int]:
     """The mask after each prefix of ``indices``, ``len(indices) + 1`` of
     them, from ``start`` through ``table`` (one row per letter); 0 once the
-    mask dies.
+    mask dies.  The index ``len(table)``, a letter the automaton lacks,
+    moves no state.
 
     The memo (mask to successor, per letter) lives for this call.
     """
@@ -534,13 +538,14 @@ def _sweep(start: int, table: list[list[int]], indices: list[int]) -> list[int]:
     for k in indices:
         if not current:
             break
-        known = memo[k]
         # Masks repeat along a word, so a memo hit is the common case.
         try:
-            current = known[current]
+            current = memo[k][current]
         except KeyError:
-            following = known[current] = _gather(table[k], current)
+            following = memo[k][current] = _gather(table[k], current)
             current = following
+        except IndexError:
+            current = 0
         append(current)
     masks += [0] * (len(indices) + 1 - len(masks))
     return masks
@@ -640,9 +645,13 @@ class _Kernel:
         self.start = closure[self.initial]
         self.successors = [[_gather(closure, m) for m in row] for row in self.direct]
 
-    def indices(self, input_word: Word) -> list[int]:
-        """Letter indices of a word; this lookup is the alphabet check."""
+    def indices(self, input_word: Word, union: Iterable[Symbol] = ()) -> list[int]:
+        """Letter indices of a word; this lookup is the alphabet check.  A
+        letter of ``union`` that the automaton lacks is its no-move index,
+        ``len(self.letters)``, on which ``run`` and ``live`` move no state."""
         index = self.letter_index
+        if union:
+            index = {s.token: len(self.letters) for s in union} | index
         try:
             return [index[symbol.token] for symbol in input_word]
         except KeyError as missing:
@@ -960,9 +969,9 @@ def check_witness(
 def pad_alphabet(automaton: Automaton, extra: Iterable[Symbol]) -> Automaton:
     """Widen the alphabet with ``extra`` letters.
 
-    New letters get no transitions, so the language is unchanged; this is
-    how automata over different alphabets are brought onto their union
-    before comparison.
+    New letters get no transitions, so the language is unchanged.  The
+    operations on two automata need no padded copy: each reads a letter
+    that only the other declares as one on which none of its states moves.
     """
     extra = frozenset(extra)
     for symbol in extra:
@@ -977,16 +986,3 @@ def pad_alphabet(automaton: Automaton, extra: Iterable[Symbol]) -> Automaton:
         transitions=automaton.transitions,
         finals=automaton.finals,
     )
-
-
-def _on_union_alphabet(a: Automaton, b: Automaton) -> tuple[Automaton, Automaton]:
-    """Both automata padded to their union alphabet.
-
-    Each is compiled as given first, so an invalid one raises
-    ``InvalidAutomatonError`` even when padding would declare the letter of
-    its stray edge.
-    """
-    a._kernel
-    b._kernel
-    union = a.alphabet | b.alphabet
-    return pad_alphabet(a, union), pad_alphabet(b, union)

@@ -36,12 +36,10 @@ from .automaton import (
     Automaton,
     StateId,
     Symbol,
-    UnknownSymbolError,
     Word,
     _Frozen,
+    _Kernel,
     _Memo,
-    _on_union_alphabet,
-    accepts,
     witness,
 )
 
@@ -147,8 +145,8 @@ def control_trace(
     When it rejects, no speculative steps are emitted (replaying "the"
     failed run is ill-defined under nondeterminism); instead every leaf
     device reports its own verdict on a full copy of the input, one
-    ``Verdict`` per leaf in left-to-right order.  Each device runs once,
-    however many leaves name it.
+    ``Verdict`` per leaf in left-to-right order; a letter the device lacks
+    is its reject.  Each device runs once, however many leaves name it.
     """
     return _trace_composite(expr, env, elaborate(expr, env), input_word)
 
@@ -165,14 +163,10 @@ def _trace_composite(
     devices = dict(leaf_devices(expr))
     run = witness(composite, input_word)
     if run is None:
-        decided = {}
-        for name in dict.fromkeys(devices.values()):
-            try:
-                decided[name] = accepts(env[name], input_word)
-            except UnknownSymbolError:
-                # The composite read the word, so the letter is one of the
-                # union alphabet that this device lacks.
-                decided[name] = False
+        # The composite read the word, so each letter is one of its own: the
+        # union of the devices' alphabets.  Each device runs once.
+        union = composite.alphabet
+        decided = _Memo(lambda name: _accepted(env[name]._kernel, input_word, union))
         verdicts = [Verdict(path, decided[name]) for path, name in devices.items()]
         return ControlTrace(input_word, False, verdicts, devices)
     states, symbols = run.states, run.symbols
@@ -226,17 +220,18 @@ def splits(
     """Every index cutting the input into an accepted prefix/suffix pair.
 
     Index ``i`` is reported when ``input[:i]`` is in the left language and
-    ``input[i:]`` in the right one.  Two linear passes over the operands,
-    on their union alphabet, decide every index at once: a forward pass of
-    the left operand marks the prefixes it accepts, and a backward pass of
-    the right one the suffixes that lead its initial state to a final
-    state.  Never consults a composite.
+    ``input[i:]`` in the right one.  Two linear passes over the operands
+    decide every index at once: a forward pass of the left operand marks
+    the prefixes it accepts, and a backward pass of the right one the
+    suffixes that lead its initial state to a final state.  Each operand
+    reads a letter of the union alphabet that it lacks as one on which
+    none of its states moves.  Never consults a composite.
     """
     input_word = tuple(input_word)
-    padded_left, padded_right = _on_union_alphabet(left, right)
-    first, second = padded_left._kernel, padded_right._kernel
-    prefixes = first.run(first.indices(input_word))
-    suffixes = second.live(second.indices(input_word))
+    first, second = left._kernel, right._kernel
+    union = left.alphabet | right.alphabet
+    prefixes = first.run(first.indices(input_word, union))
+    suffixes = second.live(second.indices(input_word, union))
     return {
         i
         for i, (ahead, behind) in enumerate(zip(prefixes, suffixes))
@@ -247,7 +242,15 @@ def splits(
 def parallel_verdicts(
     left: Automaton, right: Automaton, input_word: Iterable[Symbol]
 ) -> tuple[bool, bool]:
-    """Each operand's verdict on its own full copy of the input."""
+    """Each operand's verdict on its own full copy of the input; a letter
+    of the union alphabet that an operand lacks is its reject."""
     input_word = tuple(input_word)
-    padded_left, padded_right = _on_union_alphabet(left, right)
-    return accepts(padded_left, input_word), accepts(padded_right, input_word)
+    first, second = left._kernel, right._kernel
+    union = left.alphabet | right.alphabet
+    return _accepted(first, input_word, union), _accepted(second, input_word, union)
+
+
+def _accepted(kernel: _Kernel, input_word: Word, union: Iterable[Symbol]) -> bool:
+    """``accepts`` on a compiled kernel, reading a letter of ``union`` that
+    the kernel lacks as a reject."""
+    return bool(kernel.run(kernel.indices(input_word, union))[-1] & kernel.finals)

@@ -51,8 +51,8 @@ def automata(draw, max_states: int = 4, allow_epsilon: bool = True) -> Automaton
     )
 
 
-def words(max_len: int = 6):
-    return st.lists(st.sampled_from(LETTERS), max_size=max_len).map(tuple)
+def words(max_len: int = 6, letters=LETTERS):
+    return st.lists(st.sampled_from(letters), max_size=max_len).map(tuple)
 
 
 @st.composite
@@ -116,6 +116,15 @@ def seeded_automata(draw) -> Automaton:
 
 GHOSTS = (StateId((), "g0"), StateId((), "g1"))
 EXTRA = letter("c")
+
+
+@st.composite
+def operands(draw) -> Automaton:
+    """An ``automata()`` value that, on a drawn boolean, also declares
+    ``EXTRA``, as ``leaf_devices`` pads a device: of two operands, either
+    may lack a letter that the other declares."""
+    device = draw(automata())
+    return pad_alphabet(device, {EXTRA}) if draw(st.booleans()) else device
 
 
 @st.composite

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +26,11 @@ from nfalgebra import (
     control_trace,
     elaborate,
     enumerate_language,
+    equivalent,
     instantiate,
     leaf_devices,
     letter,
+    pad_alphabet,
     parallel_verdicts,
     parse_expression,
     splits,
@@ -40,7 +43,7 @@ from nfalgebra import trace as trace_module
 from nfalgebra.properties import all_words, random_automaton
 
 from . import oracles
-from .oracles import reference_control_trace, trace_payload
+from .oracles import oracle_accepts, reference_control_trace, trace_payload
 from .strategies import expressions, leaf_devices as leaf_automata, words
 from .values import observed
 
@@ -229,12 +232,13 @@ class TestControlTrace:
     def test_rejection_runs_each_device_once(self, env, monkeypatch):
         # Leaves that name one device share its verdict: one pass per name.
         passes = []
+        run = automaton_module._Kernel.run
 
-        def counted(automaton, input_word):
-            passes.append(automaton)
-            return accepts(automaton, input_word)
+        def counted(kernel, indices):
+            passes.append(kernel)
+            return run(kernel, indices)
 
-        monkeypatch.setattr(trace_module, "accepts", counted)
+        monkeypatch.setattr(automaton_module._Kernel, "run", counted)
         expr = parse_expression("N1 | N2 | N1 | (N2 ; N1) | N1")
         input_word = word("abb" * 50)
         trace = control_trace(expr, env, input_word)
@@ -281,6 +285,38 @@ def one_letter_loop():
     return Automaton({a}, {x0}, x0, {(x0, a): {x0}}, {x0})
 
 
+def one_c():
+    """Over {a, c}, accepting the one word ``c``: beside N1 (over {a, b})
+    each operand lacks a letter the other declares."""
+    y0, y1 = state("y0"), state("y1")
+    a, c = letter("a"), letter("c")
+    return Automaton({a, c}, {y0, y1}, y0, {(y0, c): {y1}}, {y1})
+
+
+@pytest.mark.parametrize(
+    "operation, extra",
+    [(equivalent, ()), (splits, (word("acab"),)), (parallel_verdicts, (word("acab"),))],
+    ids=["equivalent", "splits", "parallel_verdicts"],
+)
+def test_mismatched_alphabets_compile_no_padded_device(operation, extra, monkeypatch):
+    # Each operand reads a letter that only the other declares as one on
+    # which none of its states moves: the two operands compile one kernel
+    # each, and no padded copy is built.
+    compiled = []
+    compile_kernel = automaton_module._Kernel.__init__
+
+    def counted(kernel, automaton):
+        compiled.append(automaton)
+        compile_kernel(kernel, automaton)
+
+    monkeypatch.setattr(automaton_module._Kernel, "__init__", counted)
+    left, right = fixtures.n1(), one_c()
+    operation(left, right, *extra)
+    assert compiled == [left, right]
+    operation(left, right, *extra)
+    assert len(compiled) == 2
+
+
 class TestSplits:
     def test_unique_cut_point(self, n1, n2):
         assert splits(n1, n2, word("aabaaaab")) == {5}
@@ -311,6 +347,23 @@ class TestParallelVerdicts:
 
     def test_one_accepts(self, n1, n2):
         assert parallel_verdicts(n1, n2, word("a")) == (False, True)
+
+    def test_mismatched_alphabets(self, n1):
+        # A letter that only the other operand declares is a reject, and one
+        # that neither declares is an error, never a quiet (False, False).
+        other = one_c()
+        union = n1.alphabet | other.alphabet
+        for n in range(5):
+            for input_word in map(word, map("".join, product("abc", repeat=n))):
+                want = tuple(
+                    oracle_accepts(pad_alphabet(x, union), input_word)
+                    for x in (n1, other)
+                )
+                assert parallel_verdicts(n1, other, input_word) == want
+        for input_word in (word("acz"), word("z")):
+            for pair in ((n1, other), (other, n1)):
+                with pytest.raises(UnknownSymbolError):
+                    parallel_verdicts(*pair, input_word)
 
     def test_agreement_with_parallel_composite(self):
         from nfalgebra import parallel as parallel_op
