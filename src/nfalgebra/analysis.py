@@ -11,14 +11,17 @@ state mask maps the chunk's value to the union of its states' closed
 successors, so a step costs one lookup and one ``|`` per chunk however
 many states are set.  ``determinize`` builds each subset's tuple of
 states the same way, from tables of sorted tuples joined with ``+``.
-Above 24 states a step visits the set bits one by one, since the tables
-would cost 256 entries per chunk and letter however few subsets the
-search visits.  ``enumerate_language`` steps bit by bit too, with a memo:
-the property suite runs it on hundreds of automata of at most 9 states,
-where building tables costs more than the few steps save.  A ``Dfa`` is
-an indexed table: its subsets in the order the subset construction found
-them, and one row of successor indices per subset.  It is there to
-inspect, or to repackage as an ordinary automaton with
+Above 24 states no tables are built, since they would cost 256 entries
+per chunk and letter however few subsets the search visits.  A step then
+goes through ``automaton._gather``, the step of every search on the
+kernel, which reads a sparse mask one set bit at a time and a dense one
+through one ``itertools.compress`` in C; a dense subset's tuple is taken
+by ``compress`` too.  ``enumerate_language`` steps through ``_gather``
+as well, with a memo: the property suite runs it on hundreds of automata
+of at most 9 states, where building tables costs more than the few steps
+save.  A ``Dfa`` is an indexed table: its subsets in the order the subset
+construction found them, and one row of successor indices per subset.
+It is there to inspect, or to repackage as an ordinary automaton with
 ``dfa_to_automaton``, which names row ``i`` as ``d{i}``; words are run
 with ``accepts``, on the kernel, not on the table.
 """
@@ -39,10 +42,10 @@ from .automaton import (
     StateId,
     Symbol,
     Word,
-    _bits,
     _Frozen,
     _gather,
     _Kernel,
+    _members,
     symbol_key,
 )
 
@@ -163,14 +166,15 @@ def _lookup(
 # mask, however few subsets the search then visits: on the 4096-state DFA
 # of T_12, whose subsets each hold one state, they made ``determinize``
 # about 30 times slower and its memory peak 35 times higher.  Larger
-# kernels step bit by bit.
+# kernels step through ``_gather``: bit by bit where a mask is sparse, and
+# with one ``compress`` where it is dense.
 _TABLE_STATES = 24
 
 
 def _steps(successors: list[list[int]]) -> list[Callable[[int], int]]:
     """The closed successor of a closed mask on each letter, from a
     kernel's ``successors`` rows: through chunk tables built on each call,
-    or bit by bit above ``_TABLE_STATES`` states."""
+    or through ``_gather`` above ``_TABLE_STATES`` states."""
     return [
         _lookup(row, 0, or_) if len(row) <= _TABLE_STATES else partial(_gather, row)
         for row in successors
@@ -179,11 +183,12 @@ def _steps(successors: list[list[int]]) -> list[Callable[[int], int]]:
 
 def _subsets(states: tuple[StateId, ...]) -> Callable[[int], SubsetState]:
     """A mask of a kernel's ``states`` as the sorted tuple of its states:
-    through chunk tables of tuples joined with ``+``, or bit by bit above
-    ``_TABLE_STATES`` states."""
+    through chunk tables of tuples joined with ``+``, or above
+    ``_TABLE_STATES`` states by ``_members``, which takes a dense mask's
+    states with one ``compress``."""
     if len(states) <= _TABLE_STATES:
         return _lookup([(s,) for s in states], (), add)
-    return lambda mask: tuple(states[i] for i in _bits(mask))
+    return partial(_members, states)
 
 
 def determinize(automaton: Automaton) -> Dfa:

@@ -121,10 +121,27 @@ EXTRA = letter("c")
 @st.composite
 def operands(draw) -> Automaton:
     """An ``automata()`` value that, on a drawn boolean, also declares
-    ``EXTRA``, as ``leaf_devices`` pads a device: of two operands, either
-    may lack a letter that the other declares."""
+    ``EXTRA``, as ``leaf_devices`` pads a device, and may move on it: of
+    two operands, either may lack a letter that the other declares and
+    reads.  A search that read the missing letter as anything but a move
+    of no state would then give another answer than the references."""
     device = draw(automata())
-    return pad_alphabet(device, {EXTRA}) if draw(st.booleans()) else device
+    if not draw(st.booleans()):
+        return device
+    states = sorted(device.states)
+    transitions = dict(device.transitions)
+    moves = st.tuples(st.sampled_from(states), st.sampled_from(states))
+    for source, target in draw(st.lists(moves, max_size=3)):
+        transitions[(source, EXTRA)] = transitions.get(
+            (source, EXTRA), frozenset()
+        ) | {target}
+    return Automaton(
+        alphabet=device.alphabet | {EXTRA},
+        states=device.states,
+        initial=device.initial,
+        transitions=transitions,
+        finals=device.finals,
+    )
 
 
 @st.composite

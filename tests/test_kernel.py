@@ -13,9 +13,12 @@ no faster than the word and not with a composite's width.  Compiling is
 the one validity gate: every operation that simulates rejects an
 automaton ``validate`` rejects.
 The subset searches step subsets through 8-bit chunk tables up to 24
-states and bit by bit above; ``TestChunkTables`` takes them across the
-chunk boundaries and that bound, which the four-state ``automata()`` never
-reach.
+states and through ``_gather`` above, which reads a sparse mask bit by bit
+and a dense one with one ``compress``; ``TestChunkTables`` takes them
+across the chunk boundaries, that bound and both sides of the density
+rule, which the four-state ``automata()`` never reach, and
+``TestWideChain`` runs every search on a 300-state kernel whose masks are
+dense.
 """
 
 import gc
@@ -36,6 +39,7 @@ from nfalgebra import (
     StateId,
     UnknownSymbolError,
     accepts,
+    check_witness,
     determinize,
     dfa_to_automaton,
     elaborate,
@@ -192,19 +196,44 @@ def scattered(count: int, rng: random.Random) -> Automaton:
     )
 
 
+def per_bit_union(row: list[int], mask: int) -> int:
+    """The union of ``row[i]`` over the set bits ``i`` of ``mask``, one
+    index at a time: the reference for every form of a step."""
+    out = 0
+    for i, unit in enumerate(row):
+        if mask >> i & 1:
+            out |= unit
+    return out
+
+
+def sample_masks(width: int, rng: random.Random) -> list[int]:
+    """0, the top bit alone, all ones, and random masks of ``width`` bits
+    with 1, 2, 16 or 17 bits set or about one in 8 or one in 3 of them,
+    each with the top bit set and clear: both sides of the density rule."""
+    masks = [0, 1 << (width - 1), (1 << width) - 1]
+    eighth = width // 8
+    for count in (1, 2, 16, 17, eighth - 1, eighth, eighth + 1, eighth + 2, width // 3):
+        count = min(max(count, 1), width)
+        for top in (False, True):
+            bits = rng.sample(range(width - top), count - top)
+            masks.append(sum(1 << i for i in bits) | top << (width - 1))
+    masks += [rng.getrandbits(width) for _ in range(300)]
+    return masks
+
+
 class TestChunkTables:
-    @pytest.mark.parametrize("count", [1, 7, 8, 9, 16, 17, 24, 25, 40])
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 16, 17, 24, 25, 40, 64, 65, 300])
     def test_lookups_equal_the_per_bit_forms(self, count):
         rng = random.Random(count)
         kernel = scattered(count, rng)._kernel
         assert len(kernel.states) == count
         steps = _steps(kernel.successors)
         subset = _subsets(kernel.states)
-        masks = [0, (1 << count) - 1, 1 << (count - 1)]
-        masks += [rng.getrandbits(count) for _ in range(300)]
-        for mask in masks:
+        for mask in sample_masks(count, rng):
             for step, row in zip(steps, kernel.successors):
-                assert step(mask) == _gather(row, mask)
+                expected = per_bit_union(row, mask)
+                assert _gather(row, mask) == expected
+                assert step(mask) == expected
             members = [s for i, s in enumerate(kernel.states) if mask >> i & 1]
             assert subset(mask) == tuple(members)
 
@@ -235,6 +264,72 @@ class TestChunkTables:
     def test_searches_on_larger_automata(self, left, right):
         assert determinize(left) == reference_determinize(left)
         assert equivalent(left, right) == reference_equivalent(left, right)
+
+
+# The chain ``N1 ; N2 ; …`` of 100 leaves compiles to 300 states.  On the
+# member word ``CHAIN_MEMBER`` its frontiers hold up to half of them, so
+# its steps take ``_gather``'s dense path, both ways along the word.
+CHAIN_LEAVES = 100
+CHAIN_MEMBER = word("baaa" * (CHAIN_LEAVES // 2))
+
+
+@pytest.fixture(scope="module")
+def wide_chain(env):
+    return elaborate(parse_expression(" ; ".join(["N1", "N2"] * (CHAIN_LEAVES // 2))), env)
+
+
+@pytest.fixture
+def oracle_stack():
+    """Room for ``oracle_accepts``, which recurses once per move, on the
+    chain's words of a few hundred letters."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(saved, 3000))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+class TestWideChain:
+    """Every search on a wide kernel whose masks are dense, against the
+    references."""
+
+    def test_frontiers_are_dense(self, wide_chain):
+        kernel = wide_chain._kernel
+        assert len(kernel.states) == 3 * CHAIN_LEAVES
+        indices = kernel.indices(CHAIN_MEMBER)
+        for masks in (kernel.run(indices), kernel.live(indices)):
+            assert max(m.bit_count() for m in masks) * 3 > len(kernel.states)
+
+    @pytest.mark.parametrize(
+        "text, member",
+        [
+            ("baaa" * 50, True),
+            ("baaab" * 50, True),
+            ("baaa" * 50 + "ba", False),
+            ("abaab" * 50, False),
+        ],
+        ids=["baaa*50", "baaab*50", "baaa*50+ba", "abaab*50"],
+    )
+    def test_accepts(self, wide_chain, oracle_stack, text, member):
+        assert oracle_accepts(wide_chain, word(text)) is member
+        assert accepts(wide_chain, word(text)) is member
+
+    def test_witness(self, wide_chain):
+        run = witness(wide_chain, CHAIN_MEMBER)
+        assert run is not None
+        assert check_witness(wide_chain, run, CHAIN_MEMBER) == []
+
+    def test_splits(self, wide_chain, n2, oracle_stack):
+        # N2 accepts the prefixes "a" and "ab"; the chain reads the rest.
+        input_word = word("a") + CHAIN_MEMBER
+        found = splits(n2, wide_chain, input_word)
+        assert found == reference_splits(n2, wide_chain, input_word)
+        assert 1 in found
+
+    def test_equivalent_to_a_renamed_copy(self, wide_chain):
+        verdict = equivalent(wide_chain, instantiate(wide_chain, "X"))
+        assert verdict.equivalent and verdict.counterexample is None
 
 
 DEAD = state("d")
