@@ -37,6 +37,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 from . import _EXPORTS
 from .automaton import (
     EPSILON,
+    _TABLE_STATES,
     Automaton,
     InvalidAutomatonError,
     StateId,
@@ -159,16 +160,6 @@ def _lookup(
         return out
 
     return chunked
-
-
-# The most states a kernel may have for its searches to use chunk tables.
-# Tables cost 256 entries per chunk and letter, each as wide as the state
-# mask, however few subsets the search then visits: on the 4096-state DFA
-# of T_12, whose subsets each hold one state, they made ``determinize``
-# about 30 times slower and its memory peak 35 times higher.  Larger
-# kernels step through ``_gather``: bit by bit where a mask is sparse, and
-# with one ``compress`` where it is dense.
-_TABLE_STATES = 24
 
 
 def _steps(successors: list[list[int]]) -> list[Callable[[int], int]]:

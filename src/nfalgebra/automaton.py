@@ -33,10 +33,12 @@ kernel is the one simulation path:
 compiling rejects an automaton that ``validate`` rejects, so every
 operation that simulates raises ``InvalidAutomatonError`` for one, and
 its letter lookup is the one alphabet check, which raises
-``UnknownSymbolError``.  An operation on two automata reads a letter that
-only one of them declares, in the other, as a letter on which none of its
-states moves: the lookup maps it to one no-move index, and no padded copy
-is built.
+``UnknownSymbolError``.  That lookup is keyed by the interned letter, as
+every table of symbols is: a letter and the empty-string symbol are found
+by identity, never through their tokens.  An operation on two automata
+reads a letter that only one of them declares, in the other, as a letter
+on which none of its states moves: the lookup maps it to one no-move
+index, and no padded copy is built.
 """
 
 from __future__ import annotations
@@ -514,13 +516,20 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# The most states a kernel may have for the subset searches of
+# ``analysis`` to use chunk tables.  Tables cost 256 entries per chunk and
+# letter, each as wide as the state mask, however few subsets the search
+# then visits: on the 4096-state DFA of T_12, whose subsets each hold one
+# state, they made ``determinize`` about 30 times slower and its memory
+# peak 35 times higher.  Larger kernels step through ``_gather``.
+_TABLE_STATES = 24
 # The density rule of ``_gather`` and ``_members``.  ``_gather`` reads a
-# mask below ``_WIDE``, no wider than the 24 states up to which the subset
+# mask below ``_WIDE``, no wider than the states up to which the subset
 # searches use chunk tables, bit by bit.  A mask is dense when it holds
 # more than ``_DENSE_COUNT`` states and more than one in ``_DENSE_SHARE``
 # of its width; the timings behind both numbers are in ``_gather``'s
 # docstring.
-_WIDE = 1 << 24
+_WIDE = 1 << _TABLE_STATES
 _DENSE_COUNT = 16
 _DENSE_SHARE = 8
 # ``bytes.translate`` table from the digits of ``bin`` to selector bytes.
@@ -630,17 +639,21 @@ class _Kernel:
 
     States are numbered in sorted ``StateId`` order and letters in
     ``symbol_key`` order, so comparing indices orders them as the values
-    do.  A set of states is an ``int`` bitmask, and every search steps one
-    through a table of masks with ``_gather``: a sparse mask one state at a
-    time, a dense one through one ``compress`` in C.  The single moves are
-    stored once, with no closure taken: ``epsilon[i]`` is the mask of state
-    ``i``'s empty-string targets and ``direct[k][i]`` that of its targets on
-    letter ``k``.  ``closure[i]`` is the empty-string closure of state ``i``
-    and ``successors[k][i]`` the closed successor mask of state ``i`` on
-    letter ``k``.  A word runs both ways:
-    ``run`` gives the frontier after each prefix, and ``live`` the
-    co-reachable mask of each position, the states from which the rest of
-    the word leads to a final state.
+    do.  A letter is looked up by the interned ``Symbol`` itself, never by
+    its token: ``letter_index`` maps each letter to its index, and compile
+    finds each transition's row by one lookup of its symbol, the
+    empty-string symbol included.  A set of states is an ``int`` bitmask,
+    and every search steps one through a table of masks with ``_gather``:
+    a sparse mask one state at a time, a dense one through one
+    ``compress`` in C.  The single moves are stored once, with no closure
+    taken: ``epsilon[i]`` is the mask of state ``i``'s empty-string targets
+    and ``direct[k][i]`` that of its targets on letter ``k``.
+    ``closure[i]`` is the empty-string closure of state ``i`` and
+    ``successors[k][i]`` the closed successor mask of state ``i`` on letter
+    ``k``.  A word runs both ways: ``run`` gives the frontier after each
+    prefix, and ``live`` the co-reachable mask of each position, the states
+    from which the rest of the word leads to a final state.  ``accepts``
+    reads the last frontier: it is the one verdict on a word.
 
     ``witness`` runs on configurations (position, state) and counts every
     move, so it needs a finer backward pass: ``distances`` gives each live
@@ -680,22 +693,20 @@ class _Kernel:
         units = [1 << i for i in range(len(self.states))]
         unit = dict(zip(self.states, units)).__getitem__
         self.letters: tuple[Symbol, ...] = tuple(automaton.letters())
-        # Keyed by token: this lookup is the whole alphabet check, and the
-        # token a miss reports is what the error message names.
-        self.letter_index = {s.token: k for k, s in enumerate(self.letters)}
+        # Keyed by the interned letter, as every table of symbols is: this
+        # lookup is the whole alphabet check, and the key a miss reports is
+        # the symbol the error message names.
+        self.letter_index = {s: k for k, s in enumerate(self.letters)}
         self.epsilon: list[int] = [0] * len(self.states)
         self.direct: list[list[int]] = [[0] * len(self.states) for _ in self.letters]
+        rows = dict(zip((*self.letters, EPSILON), (*self.direct, self.epsilon)))
         # A lookup that misses is an undeclared state or an edge letter
         # outside the alphabet: exactly what ``validate`` reports.
         try:
             self.initial = index[automaton.initial]
             self.finals = sum(map(unit, automaton.finals))
             for (source, symbol), targets in automaton.transitions.items():
-                if symbol.is_epsilon:
-                    row = self.epsilon
-                else:
-                    row = self.direct[self.letter_index[symbol.token]]
-                row[index[source]] = sum(map(unit, targets))
+                rows[symbol][index[source]] = sum(map(unit, targets))
         except KeyError:
             raise _invalid(automaton) from None
         closure = self.closure = _closures(self.epsilon, units)
@@ -705,18 +716,26 @@ class _Kernel:
     def indices(self, input_word: Word, union: Iterable[Symbol] = ()) -> list[int]:
         """Letter indices of a word; this lookup is the alphabet check.  A
         letter of ``union`` that the automaton lacks is its no-move index,
-        ``len(self.letters)``, on which ``run`` and ``live`` move no state."""
+        ``len(self.letters)``, on which ``run`` and ``live`` move no state.
+        Anything else that is not one of its letters, the empty-string
+        symbol or a value that is no ``Symbol`` at all, raises
+        ``UnknownSymbolError`` naming it."""
         index = self.letter_index
         if union:
-            index = {s.token: len(self.letters) for s in union} | index
+            index = dict.fromkeys(union, len(self.letters)) | index
         try:
-            return [index[symbol.token] for symbol in input_word]
+            return list(map(index.__getitem__, input_word))
         except KeyError as missing:
-            token = missing.args[0]
-            shown = EPSILON_TOKEN if token is None else token
             raise UnknownSymbolError(
-                f"symbol {shown} is not a letter of the alphabet"
+                f"symbol {missing.args[0]} is not a letter of the alphabet"
             ) from None
+
+    def accepts(self, input_word: Word, union: Iterable[Symbol] = ()) -> bool:
+        """The one verdict on a word, which ``accepts``, ``parallel_verdicts``
+        and a rejected trace give: whether some run over ``input_word`` ends
+        in a final state.  A letter of ``union`` that the automaton lacks is
+        its reject."""
+        return bool(self.run(self.indices(input_word, union))[-1] & self.finals)
 
     def run(self, indices: list[int]) -> list[int]:
         """The frontier after each prefix, ``len(indices) + 1`` of them:
@@ -950,8 +969,7 @@ def accepts(automaton: Automaton, input_word: Iterable[Symbol]) -> bool:
     Empty-string moves are inserted freely between letters, so inputs never
     spell them out.  True iff some run over the input ends in a final state.
     """
-    kernel = automaton._kernel
-    return bool(kernel.run(kernel.indices(input_word))[-1] & kernel.finals)
+    return automaton._kernel.accepts(input_word)
 
 
 class RunWitness(_Frozen):
@@ -968,7 +986,7 @@ class RunWitness(_Frozen):
 
     def erased(self) -> Word:
         """The symbol sequence with empty-string entries removed."""
-        return tuple(s for s in self.symbols if not s.is_epsilon)
+        return tuple(s for s in self.symbols if s is not EPSILON)
 
 
 def witness(automaton: Automaton, input_word: Iterable[Symbol]) -> RunWitness | None:
@@ -1031,9 +1049,8 @@ def pad_alphabet(automaton: Automaton, extra: Iterable[Symbol]) -> Automaton:
     that only the other declares as one on which none of its states moves.
     """
     extra = frozenset(extra)
-    for symbol in extra:
-        if symbol.is_epsilon:
-            raise ValueError("the empty-string symbol is implicit in every alphabet")
+    if EPSILON in extra:
+        raise ValueError("the empty-string symbol is implicit in every alphabet")
     if extra <= automaton.alphabet:
         return automaton
     return Automaton(

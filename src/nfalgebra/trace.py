@@ -26,10 +26,10 @@ from typing import Container, Iterable, Mapping, Union
 from . import _EXPORTS
 from .algebra import (
     CompositionExpr,
+    Device,
     DeviceEnvironment,
-    _positions,
     elaborate,
-    leaf_devices,
+    subexpressions,
 )
 from .automaton import (
     EPSILON,
@@ -38,7 +38,6 @@ from .automaton import (
     Symbol,
     Word,
     _Frozen,
-    _Kernel,
     _Memo,
     witness,
 )
@@ -160,17 +159,20 @@ def _trace_composite(
     """``control_trace`` for a caller that already holds
     ``composite = elaborate(expr, env)``."""
     input_word = tuple(input_word)
-    devices = dict(leaf_devices(expr))
+    # The one walk of the tree: every position, and the leaves among them.
+    positions = subexpressions(expr)
+    devices = {
+        path: node.name for path, node in positions.items() if isinstance(node, Device)
+    }
     run = witness(composite, input_word)
     if run is None:
         # The composite read the word, so each letter is one of its own: the
         # union of the devices' alphabets.  Each device runs once.
         union = composite.alphabet
-        decided = _Memo(lambda name: _accepted(env[name]._kernel, input_word, union))
+        decided = _Memo(lambda name: env[name]._kernel.accepts(input_word, union))
         verdicts = [Verdict(path, decided[name]) for path, name in devices.items()]
         return ControlTrace(input_word, False, verdicts, devices)
     states, symbols = run.states, run.symbols
-    positions = {path for _, path in _positions(expr)}
     # Each state's owner is worked out once, and only for the states the
     # run visits.
     owned = list(map(_Memo(partial(_owner, positions)).__getitem__, states))
@@ -201,17 +203,17 @@ def _trace_composite(
     return ControlTrace(input_word, True, events, devices)
 
 
-def _owner(positions: Container[tuple[str, ...]], state_id: StateId) -> str:
+def _owner(positions: Container[str], state_id: StateId) -> str:
     """The dotted position of the expression node that owns a state: the
-    longest prefix of its namespace that is one of the ``positions`` (the
-    root's, ``()``, is always one).  No position lies below a leaf, so any
-    deeper segments are the device's own internal structure.
+    longest dotted prefix of its namespace that is one of the ``positions``
+    (the root's, ``""``, is always one).  No position lies below a leaf, so
+    any deeper segments are the device's own internal structure.  No
+    segment holds a ".", so each prefix is the spelling before a ".".
     """
-    namespace = state_id.namespace
-    depth = len(namespace)
-    while namespace[:depth] not in positions:
-        depth -= 1
-    return ".".join(namespace[:depth])
+    path = state_id._text.rpartition(".")[0]
+    while path not in positions:
+        path = path.rpartition(".")[0]
+    return path
 
 
 def splits(
@@ -247,10 +249,4 @@ def parallel_verdicts(
     input_word = tuple(input_word)
     first, second = left._kernel, right._kernel
     union = left.alphabet | right.alphabet
-    return _accepted(first, input_word, union), _accepted(second, input_word, union)
-
-
-def _accepted(kernel: _Kernel, input_word: Word, union: Iterable[Symbol]) -> bool:
-    """``accepts`` on a compiled kernel, reading a letter of ``union`` that
-    the kernel lacks as a reject."""
-    return bool(kernel.run(kernel.indices(input_word, union))[-1] & kernel.finals)
+    return first.accepts(input_word, union), second.accepts(input_word, union)

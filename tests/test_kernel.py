@@ -40,6 +40,7 @@ from nfalgebra import (
     UnknownSymbolError,
     accepts,
     check_witness,
+    concat,
     determinize,
     dfa_to_automaton,
     elaborate,
@@ -669,6 +670,43 @@ def test_the_gate_error_keeps_the_codes():
     assert error.codes == "epsilon-in-alphabet; initial-not-in-states"
     assert str(error) == f"invalid automaton: {error.codes}"
     assert pickle.loads(pickle.dumps(error)).codes == error.codes
+
+
+class TestLetterKeys:
+    """The kernel keys a letter, and the empty-string symbol, by the
+    interned ``Symbol`` itself, never by its token."""
+
+    def test_no_step_asks_a_symbol_whether_it_is_empty(self, n1, n2, monkeypatch):
+        built = concat(n1, n2)
+        fresh = Automaton(
+            built.alphabet, built.states, built.initial, dict(built.transitions),
+            built.finals,
+        )
+        right = Automaton(
+            n2.alphabet, n2.states, n2.initial, dict(n2.transitions), n2.finals
+        )
+        input_word = word("aabaaaab")
+        run = reference_witness(built, input_word)
+        cuts = reference_splits(n1, n2, input_word)
+        assert run is not None and cuts
+
+        def refuse(symbol):
+            raise AssertionError(f"{symbol}.is_epsilon was asked")
+
+        monkeypatch.setattr(automaton_module.Symbol, "is_epsilon", property(refuse))
+        assert accepts(fresh, input_word)
+        assert witness(fresh, input_word) == run
+        assert check_witness(fresh, run, input_word) == []
+        assert splits(n1, right, input_word) == cuts
+
+    @pytest.mark.parametrize(
+        "stray, shown", [("b", "b"), (letter("z"), "z"), (EPSILON, "eps")]
+    )
+    def test_a_stray_symbol_is_named(self, n1, stray, shown):
+        # A plain string is no letter, even when it spells one.
+        message = f"^symbol {shown} is not a letter of the alphabet$"
+        with pytest.raises(UnknownSymbolError, match=message):
+            accepts(n1, (letter("a"), stray, letter("a")))
 
 
 class TestCache:

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from nfalgebra import (
     letter,
     pad_alphabet,
     parallel_verdicts,
+    parse_automaton,
     parse_expression,
     splits,
     state,
@@ -46,6 +48,8 @@ from . import oracles
 from .oracles import oracle_accepts, reference_control_trace, trace_payload
 from .strategies import expressions, leaf_devices as leaf_automata, words
 from .values import observed
+
+GOLDEN = Path(__file__).parent / "golden"
 
 # Fields for one value of each event class.
 EVENT_FIELDS = {
@@ -225,6 +229,34 @@ class TestControlTrace:
             Activate("R"),
         ]
 
+    @pytest.mark.parametrize(
+        "text, member",
+        [("composite ; N1", "baaabaa"), ("N1 ; (composite ; N2)", "baabaaaa")],
+    )
+    def test_a_composite_read_back_keeps_its_states(self, env, text, member):
+        # compose's output read back in as device "composite": its states'
+        # own L/R segments lie below the leaf that names it.
+        _, composite = parse_automaton((GOLDEN / "compose-deep.nfa").read_text("utf-8"))
+        assert max(len(s.namespace) for s in composite.states) == 4
+        expr = parse_expression(text)
+        trace = control_trace(expr, {**env, "composite": composite}, word(member))
+        assert trace.overall
+        moves = [e for e in trace.events if isinstance(e, (Step, Handoff))]
+        for move in moves:
+            if isinstance(move, Step):
+                assert move.device == tuple_owner(expr, move.source)
+            else:
+                assert move.source_device == tuple_owner(expr, move.source)
+                assert move.target_device == tuple_owner(expr, move.target)
+        assert trace.events[-1] == Verdict(tuple_owner(expr, moves[-1].target), True)
+        # The run passes through states two or more segments below their
+        # leaf: the device's own L/R structure.
+        assert any(
+            len(move.source.namespace) > len(move.device.split(".")) + 1
+            for move in moves
+            if isinstance(move, Step)
+        )
+
     def test_unknown_symbol_rejected(self, env):
         with pytest.raises(UnknownSymbolError):
             control_trace(Device("N1"), env, (letter("z"),))
@@ -276,6 +308,22 @@ class TestControlTrace:
         for input_word in map(word, ("aabb", "aaa", "b", "", "ab", "abaabaa")):
             want = reference_control_trace(expr, env, input_word)
             assert spelled(control_trace(expr, env, input_word)) == spelled(want)
+
+
+def tuple_owner(expr, state_id) -> str:
+    """The owner of a state, worked out on tuple paths: the longest prefix
+    of its namespace tuple that is the tuple path of a node of ``expr``,
+    joined with dots."""
+    positions = set()
+    pending = [(expr, ())]
+    while pending:
+        node, path = pending.pop()
+        positions.add(path)
+        if not isinstance(node, Device):
+            pending += [(node.left, (*path, "L")), (node.right, (*path, "R"))]
+    namespace = state_id.namespace
+    depth = max(d for d in range(len(namespace) + 1) if namespace[:d] in positions)
+    return ".".join(namespace[:depth])
 
 
 def one_letter_loop():
