@@ -35,7 +35,7 @@ _EXPORTS = {
     "automaton": (
         "EPSILON", "EPSILON_TOKEN", "Automaton", "InvalidAutomatonError",
         "RunWitness", "StateId", "Symbol", "UnknownSymbolError", "Violation",
-        "Word", "accepts", "check_witness", "letter", "pad_alphabet", "state",
+        "Word", "accepts", "check_witness", "letter", "state",
         "symbol_key", "validate", "witness", "word",
     ),
     "cli": ("run_cli",),

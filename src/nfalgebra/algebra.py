@@ -40,6 +40,7 @@ from .automaton import (
     _state_order,
     check_name,
     check_segment,
+    state,
 )
 
 __all__ = [*_EXPORTS["algebra"]]
@@ -96,32 +97,32 @@ CompositionExpr = Union[Device, Concat, Parallel]
 
 DeviceEnvironment = Mapping[str, Automaton]
 
-_Path = tuple[str, ...]
 _Edges = dict[tuple[StateId, Symbol], frozenset[StateId]]
 
 
 class _Renamed(dict):
-    """``renamed[s]`` is ``s`` with ``prefix`` prepended to its namespace,
-    built on first lookup, so each state is renamed once however many
-    edges mention it (an invalid device's undeclared states included).
+    """``renamed[s]`` is ``s`` with the dotted ``prefix`` written before its
+    text, built on first lookup, so each state is renamed once however
+    many edges mention it (an invalid device's undeclared states included).
     ``prefix`` is set after construction: ``elaborate`` makes one memo per
     leaf, and a Python ``__init__`` would add a call to each."""
 
     __slots__ = ("prefix",)
-    prefix: _Path
+    prefix: str
 
     def __missing__(self, s: StateId) -> StateId:
-        renamed = self[s] = StateId((*self.prefix, *s.namespace), s.local)
+        renamed = self[s] = state(self.prefix + s._text)
         return renamed
 
 
 def _place(
-    automaton: Automaton, prefix: _Path, states: set[StateId], transitions: _Edges
+    automaton: Automaton, prefix: str, states: set[StateId], transitions: _Edges
 ) -> tuple[StateId, list[StateId]]:
-    """The renaming rule: add a copy of ``automaton`` with every state
-    under ``prefix`` to the shared maps; return the copy's initial state
-    and finals.  A state the value mentions but does not declare is
-    renamed too, and stays undeclared."""
+    """The renaming rule: add a copy of ``automaton`` with ``prefix``, a
+    dotted position such as ``"L.R."`` (``""`` at the root), written before
+    every state, to the shared maps; return the copy's initial state and
+    finals.  A state the value mentions but does not declare is renamed
+    too, and stays undeclared."""
     rename = _Renamed()
     rename.prefix = prefix
     renamed = rename.__getitem__  # ``map`` over it builds each set in C, no generator
@@ -143,17 +144,18 @@ def _bridge(transitions: _Edges, finals: Iterable[StateId], initial: StateId) ->
 def _fork(
     states: set[StateId],
     transitions: _Edges,
-    path: _Path,
+    prefix: str,
     left: StateId,
     right: StateId,
 ) -> StateId:
     """The ``|`` rule: add a fresh state with empty-string edges onto
-    ``left`` and ``right``, and return it.  It is ``r0`` under ``path``,
-    suffixed with the smallest number that avoids a state of ``states``."""
-    fork = StateId(path, "r0")
+    ``left`` and ``right``, and return it.  It is ``r0`` after the dotted
+    ``prefix`` (``"L.r0"`` for ``"L."``, ``"r0"`` for ``""``), suffixed with
+    the smallest number that avoids a state of ``states``."""
+    fork = state(prefix + "r0")
     bump = 1
     while fork in states:
-        fork = StateId(path, f"r0{bump}")
+        fork = state(f"{prefix}r0{bump}")
         bump += 1
     states.add(fork)
     transitions[(fork, EPSILON)] = frozenset({left, right})
@@ -169,7 +171,7 @@ def instantiate(automaton: Automaton, segment: str) -> Automaton:
     check_segment(segment, "namespace segment")
     states: set[StateId] = set()
     transitions: _Edges = {}
-    initial, finals = _place(automaton, (segment,), states, transitions)
+    initial, finals = _place(automaton, segment + ".", states, transitions)
     return Automaton(automaton.alphabet, states, initial, transitions, finals)
 
 
@@ -213,7 +215,7 @@ def parallel(left: Automaton, right: Automaton) -> Automaton:
     """
     transitions = _joined(left, right)
     states = {*left.states, *right.states}
-    root = _fork(states, transitions, (), left.initial, right.initial)
+    root = _fork(states, transitions, "", left.initial, right.initial)
     alphabet, finals = left.alphabet | right.alphabet, left.finals | right.finals
     return Automaton(alphabet, states, root, transitions, finals)
 
@@ -289,10 +291,11 @@ def elaborate(expr: CompositionExpr, env: DeviceEnvironment) -> Automaton:
     )
 
 
-def _positions(expr: CompositionExpr) -> list[tuple[CompositionExpr, _Path]]:
-    """Every node with its position path, in pre-order: each node, then its
-    left subtree, then its right one.  The root's path is empty, and a
-    child's path appends "L" or "R" to its parent's; so no position lies
+def _positions(expr: CompositionExpr) -> list[tuple[CompositionExpr, str]]:
+    """Every node with its position as a dotted prefix, in pre-order: each
+    node, then its left subtree, then its right one.  The root's is ``""``,
+    and a child's appends ``"L."`` or ``"R."`` to its parent's (``"L.R."``),
+    so it is written before a state name as it stands.  No position lies
     below a leaf, and every prefix of a position is a position.
 
     Read in reverse, the list gives both subtrees of a node before the
@@ -301,21 +304,22 @@ def _positions(expr: CompositionExpr) -> list[tuple[CompositionExpr, _Path]]:
     tree; an expression of any depth costs heap, not the interpreter's
     stack."""
     out = []
-    pending: list[tuple[CompositionExpr, _Path]] = [(expr, ())]
+    pending: list[tuple[CompositionExpr, str]] = [(expr, "")]
     while pending:
         node, path = pending.pop()
         out.append((node, path))
         if not isinstance(node, Device):
-            pending.append((node.right, path + ("R",)))
-            pending.append((node.left, path + ("L",)))
+            pending.append((node.right, path + "R."))
+            pending.append((node.left, path + "L."))
     return out
 
 
 def subexpressions(expr: CompositionExpr) -> dict[str, CompositionExpr]:
     """Map every position path to its subtree ("" is the root, children
     append L/R), in pre-order: each node, then its left subtree, then its
-    right one."""
-    return {".".join(path): node for node, path in _positions(expr)}
+    right one.  A path is its dotted prefix from ``_positions`` without the
+    closing "."."""
+    return {path[:-1]: node for node, path in _positions(expr)}
 
 
 def leaf_devices(expr: CompositionExpr) -> list[tuple[str, str]]:

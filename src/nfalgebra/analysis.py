@@ -47,6 +47,7 @@ from .automaton import (
     _gather,
     _Kernel,
     _members,
+    state,
     symbol_key,
 )
 
@@ -307,7 +308,7 @@ def dfa_to_automaton(dfa: Dfa) -> Automaton:
     rendering.
     """
     letters = sorted(dfa.alphabet, key=symbol_key)
-    names = [StateId((), f"d{i}") for i in range(len(dfa.states))]
+    names = [state(f"d{i}") for i in range(len(dfa.states))]
     singletons = [frozenset({name}) for name in names]
     # One column of the table per letter: its keys pair every row's name
     # with the letter, its values are the rows' targets.

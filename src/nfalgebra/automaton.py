@@ -15,9 +15,12 @@ change of a frozen dataclass, a constructor where the class writes none,
 and one pickling rule, through the constructor.  State names and letters
 are interned in tables that only grow; each new entry goes in with one
 ``dict.setdefault``, so threads that race on a name share one object.  A
-state name is given, when first interned, its dotted spelling and one flat
-string that orders as its ``(namespace, local)`` tuple, so every sort of
-states compares one string per pair.
+state name is stored once, as its dotted text, which keys its table, plus
+one flat string that orders as its ``(namespace, local)`` tuple, so every
+sort of states compares one string per pair; ``namespace`` and ``local``
+are read from the text.  Built from parts, a name is found by their joined
+text only when that text has one "." per join, since a part holding a "."
+could spell another name and must be refused.
 Work done on first use and kept takes one of two forms, here and in the
 other modules: a table is a ``_Memo``, which computes a missing entry when
 it is first looked up, and an object's lazy attribute is a
@@ -300,55 +303,62 @@ class StateId(_Interned):
 
     Composition renames operands apart by prepending namespace segments, so
     distinct device instances can never share a state.  States order by
-    ``(namespace, local)``.  Each state stores, as ``_key``, one string
-    that orders exactly as that tuple, so ``__lt__`` and a sort with
-    ``key=_state_order`` compare one string per pair, however deep the
-    namespace.  The key is the parts joined by NUL with one more NUL before
-    the local part (``L.R.p0`` is ``L\\0R\\0\\0p0``): one character longer than
-    the dotted spelling.  A name that holds ``\\x00`` or ``\\x01`` first spells
-    them ``\\x01\\x02`` and ``\\x01\\x03``, which keeps both the order and
-    distinct names apart.  Both strings are built once, when the state is
-    first interned.
+    ``(namespace, local)``.  Each name is stored once, as its dotted text
+    ``_text`` (``L.R.p0``), which keys the intern table, plus one order key
+    ``_key``: ``namespace`` and ``local`` are read from the text when asked
+    for, so a deep name holds no tuple of its segments.  No segment holds a
+    ".", so the text spells one name.  A lookup by the joined parts is
+    therefore a hit only when the text has one "." fewer than there are
+    parts: a part holding a "." could otherwise spell another, already
+    interned name, and it must still be refused.
+
+    ``_key`` orders exactly as the ``(namespace, local)`` tuple, so
+    ``__lt__`` and a sort with ``key=_state_order`` compare one string per
+    pair, however deep the namespace.  It is the parts joined by NUL with
+    one more NUL before the local part (``L.R.p0`` is ``L\\0R\\0\\0p0``): one
+    character longer than the text.  A name that holds ``\\x00`` or ``\\x01``
+    first spells them ``\\x01\\x02`` and ``\\x01\\x03``, which keeps both the
+    order and distinct names apart.  The key is built once, when the state
+    is first interned.
     """
 
-    __slots__ = ("namespace", "local", "_key", "_text")
+    __slots__ = ("_text", "_key")
     __match_args__ = ("namespace", "local")
-    _interned: dict[tuple[tuple[str, ...], str], StateId] = {}
+    _interned: dict[str, StateId] = {}
     # Segments that passed ``check_segment``, so a new deep name made of
     # known segments is checked by one C-level ``issuperset``.
     _checked: set[str] = set()
 
-    namespace: tuple[str, ...]
-    local: str
-
     def __new__(cls, namespace: Iterable[str], local: str) -> StateId:
-        key = (tuple(namespace), local)
-        found = cls._interned.get(key)
-        if found is not None:
+        parts = (*namespace, local)
+        text = ".".join(parts)
+        found = cls._interned.get(text)
+        if found is not None and text.count(".") == len(parts) - 1:
             return found
-        if not cls._checked.issuperset(key[0]):
-            for segment in key[0]:
+        if not cls._checked.issuperset(parts):
+            for segment in parts[:-1]:
                 check_segment(segment, "namespace segment")
-            cls._checked.update(key[0])
-        if local not in cls._checked:
             check_segment(local, "state name")
-            cls._checked.add(local)
+            cls._checked.update(parts)
         made = object.__new__(cls)
-        object.__setattr__(made, "namespace", key[0])
-        object.__setattr__(made, "local", local)
-        text = ".".join((*key[0], local))
-        # From the dotted spelling: a copy or two, where a join would walk
-        # every segment of a deep namespace again.
+        # From the text: a copy or two, where a join would walk every
+        # segment of a deep namespace again.
         order = f"{text[: len(text) - len(local)]}\0{local}".replace(".", "\0")
-        if "\1" in order or order.count("\0") > len(key[0]) + 1:
-            parts = (*key[0], "", local)
-            order = "\0".join(
-                [p.replace("\1", "\1\3").replace("\0", "\1\2") for p in parts]
-            )
+        if "\1" in order or order.count("\0") > len(parts):
+            spelled = [p.replace("\1", "\1\3").replace("\0", "\1\2") for p in parts]
+            order = "\0".join((*spelled[:-1], "", spelled[-1]))
         object.__setattr__(made, "_key", order)
         object.__setattr__(made, "_text", text)
         # setdefault is atomic: threads racing on one name keep one object.
-        return cls._interned.setdefault(key, made)
+        return cls._interned.setdefault(text, made)
+
+    @property
+    def namespace(self) -> tuple[str, ...]:
+        return tuple(self._text.split(".")[:-1])
+
+    @property
+    def local(self) -> str:
+        return self._text.rpartition(".")[2]
 
     def __lt__(self, other: object) -> bool:
         if other.__class__ is not StateId:
@@ -364,11 +374,14 @@ _state_order = attrgetter("_key")
 
 
 def state(text: str) -> StateId:
-    """Parse a dotted path: ``L.R.p0`` is state ``p0`` under namespace (L, R)."""
-    if "." not in text:
-        return StateId((), text)
+    """Parse a dotted path: ``L.R.p0`` is state ``p0`` under namespace (L, R).
+    A name already interned is one lookup of its text; the text is split
+    only on a miss."""
+    found = StateId._interned.get(text)
+    if found is not None:
+        return found
     *namespace, local = text.split(".")
-    return StateId(tuple(namespace), local)
+    return StateId(namespace, local)
 
 
 _NO_STATES: frozenset[StateId] = frozenset()
@@ -719,15 +732,22 @@ class _Kernel:
         ``len(self.letters)``, on which ``run`` and ``live`` move no state.
         Anything else that is not one of its letters, the empty-string
         symbol or a value that is no ``Symbol`` at all, raises
-        ``UnknownSymbolError`` naming it."""
+        ``UnknownSymbolError`` naming it; for a value that is no ``Symbol``,
+        its type too.  Only a word that misses pays for the wording."""
         index = self.letter_index
         if union:
             index = dict.fromkeys(union, len(self.letters)) | index
         try:
             return list(map(index.__getitem__, input_word))
         except KeyError as missing:
+            item = missing.args[0]
+            if item.__class__ is not Symbol:
+                raise UnknownSymbolError(
+                    f"word item {item!r} ({type(item).__name__}) is not a Symbol:"
+                    " build words with word() or letter()"
+                ) from None
             raise UnknownSymbolError(
-                f"symbol {missing.args[0]} is not a letter of the alphabet"
+                f"symbol {item} is not a letter of the alphabet"
             ) from None
 
     def accepts(self, input_word: Word, union: Iterable[Symbol] = ()) -> bool:
@@ -1040,23 +1060,3 @@ def check_witness(
         problems.append("erased symbols do not match the input")
     return problems
 
-
-def pad_alphabet(automaton: Automaton, extra: Iterable[Symbol]) -> Automaton:
-    """Widen the alphabet with ``extra`` letters.
-
-    New letters get no transitions, so the language is unchanged.  The
-    operations on two automata need no padded copy: each reads a letter
-    that only the other declares as one on which none of its states moves.
-    """
-    extra = frozenset(extra)
-    if EPSILON in extra:
-        raise ValueError("the empty-string symbol is implicit in every alphabet")
-    if extra <= automaton.alphabet:
-        return automaton
-    return Automaton(
-        alphabet=automaton.alphabet | extra,
-        states=automaton.states,
-        initial=automaton.initial,
-        transitions=automaton.transitions,
-        finals=automaton.finals,
-    )

@@ -17,7 +17,7 @@ from itertools import product
 
 from .algebra import Concat, Device, Parallel, elaborate
 from .analysis import enumerate_language
-from .automaton import EPSILON, Automaton, StateId, Symbol, Word, _Frozen, letter
+from .automaton import EPSILON, Automaton, StateId, Symbol, Word, _Frozen, letter, state
 
 __all__ = [
     "DEFAULT_LETTERS",
@@ -50,7 +50,7 @@ def random_automaton(rng: random.Random, max_states: int = 4) -> Automaton:
     initial.
     """
     count = rng.randint(1, max_states)
-    states = [StateId((), f"s{i}") for i in range(count)]
+    states = [state(f"s{i}") for i in range(count)]
     finals = frozenset(s for s in states if rng.random() < 0.3)
     transitions: dict[tuple[StateId, Symbol], set[StateId]] = {}
     for source in states:

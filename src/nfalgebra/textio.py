@@ -459,7 +459,8 @@ def render_dot(automaton: Automaton, group_by_namespace: bool = False) -> str:
     quoted[EPSILON] = _quote("ε")
     for s in sorted(automaton.states, key=_state_order):
         shape = " [shape=doublecircle]" if s in automaton.finals else ""
-        cluster = s.namespace[0] if group_by_namespace and s.namespace else None
+        text = s._text
+        cluster = text.partition(".")[0] if group_by_namespace and "." in text else None
         grouped.setdefault(cluster, []).append(f"{quoted[s]}{shape};")
     for segment in sorted(k for k in grouped if k is not None):
         lines.append(f"  subgraph {_quote('cluster_' + segment)} {{")

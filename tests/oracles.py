@@ -81,7 +81,6 @@ from nfalgebra import (
     Word,
     format_word,
     leaf_devices,
-    pad_alphabet,
     state,
     symbol_key,
 )
@@ -331,11 +330,23 @@ def is_empty(dfa: Dfa) -> Word | None:
     return None
 
 
+def padded(automaton: Automaton, extra: Iterable[Symbol]) -> Automaton:
+    """``automaton`` with the letters of ``extra`` added to its alphabet and
+    no edge on them, so its language is unchanged."""
+    return Automaton(
+        automaton.alphabet | frozenset(extra),
+        automaton.states,
+        automaton.initial,
+        automaton.transitions,
+        automaton.finals,
+    )
+
+
 def reference_equivalent(a: Automaton, b: Automaton) -> EquivalenceVerdict:
     """Both full DFAs over the union alphabet, then their difference product."""
     union = a.alphabet | b.alphabet
-    left = reference_determinize(pad_alphabet(a, union))
-    right = reference_determinize(pad_alphabet(b, union))
+    left = reference_determinize(padded(a, union))
+    right = reference_determinize(padded(b, union))
     return reference_verdict(left, right)
 
 
@@ -876,7 +887,7 @@ def reference_control_trace(
     run = reference_witness(composite, input_word)
     if run is None:
         for path, name in leaves:
-            device = pad_alphabet(env[name], composite.alphabet)
+            device = padded(env[name], composite.alphabet)
             events.append(Verdict(path, oracle_accepts(device, input_word)))
         return ControlTrace(input_word, False, tuple(events), dict(leaves))
     owned = [owner(s) for s in run.states]

@@ -20,11 +20,12 @@ from nfalgebra import (
     concat,
     instantiate,
     letter,
-    pad_alphabet,
     parallel,
     render_automaton,
 )
 from nfalgebra.properties import random_automaton
+
+from .oracles import padded
 
 LETTERS = (letter("a"), letter("b"))
 
@@ -72,7 +73,7 @@ def leaf_devices(draw) -> Automaton:
         other = draw(automata(max_states=2))
         device = parallel(instantiate(device, "L"), instantiate(other, "X"))
     if draw(st.booleans()):
-        device = pad_alphabet(device, {letter("c")})
+        device = padded(device, {letter("c")})
     return device
 
 

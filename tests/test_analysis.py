@@ -19,7 +19,6 @@ from nfalgebra import (
     equivalent,
     instantiate,
     letter,
-    pad_alphabet,
     parallel,
     state,
     symbol_key,
@@ -34,6 +33,7 @@ from .oracles import (
     in_l1,
     in_l2,
     is_empty,
+    padded,
     product,
     reference_verdict,
 )
@@ -109,11 +109,11 @@ class TestProduct:
             assert dfa_accepts(conjunction, input_word) == (in_l1(text) and in_l2(text))
 
     def test_alphabet_mismatch_rejected(self, n1):
-        padded = determinize(pad_alphabet(n1, {letter("c")}))
+        wide = determinize(padded(n1, {letter("c")}))
         with pytest.raises(AlphabetMismatchError):
-            product(determinize(n1), padded, lambda x, y: x or y)
+            product(determinize(n1), wide, lambda x, y: x or y)
         with pytest.raises(AlphabetMismatchError):
-            reference_verdict(determinize(n1), padded)
+            reference_verdict(determinize(n1), wide)
 
     def test_verdict_is_the_least_word_of_the_xor_product(self, n1, n2):
         # ``reference_verdict`` searches the pairs without building the

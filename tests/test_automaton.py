@@ -24,7 +24,6 @@ from nfalgebra import (
     check_witness,
     concat,
     letter,
-    pad_alphabet,
     parallel,
     state,
     validate,
@@ -250,6 +249,45 @@ class TestInterning:
                 StateId(("L", "R", "x y", "#"), "p0")
             with pytest.raises(ValueError, match="'#', the comment mark"):
                 Symbol("x#y")
+
+    def test_a_name_is_stored_once_as_its_dotted_text(self):
+        assert StateId.__slots__ == ("_text", "_key")
+        assert StateId._interned["L.R.p0"] is state("L.R.p0")
+        assert not hasattr(state("L.R.p0"), "__dict__")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(NAME_PARTS, max_size=6), NAME_PARTS)
+    def test_parts_and_text_name_one_object(self, namespace, local):
+        built = StateId(namespace, local)
+        assert built is state(".".join((*namespace, local)))
+        assert type(built.namespace) is tuple
+        assert built.namespace == tuple(namespace)
+        assert built.local == local
+        assert pickle.loads(pickle.dumps(built)) is built
+
+    @pytest.mark.parametrize("namespace, local", [(("a.b",), "c"), (("a",), "b.c")])
+    def test_a_part_holding_a_dot_never_finds_the_name_it_spells(
+        self, namespace, local
+    ):
+        # The joined text is interned, but a hit must have one part per
+        # dotted segment.
+        state("a.b.c")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="contains '.', the namespace"):
+                StateId(namespace, local)
+
+    def test_a_part_that_is_no_string_is_refused(self):
+        with pytest.raises(TypeError):
+            StateId((1,), "p0")
+
+    def test_a_deep_name_round_trips(self):
+        parts = tuple(f"s{i}" for i in range(3000))
+        text = ".".join(parts)
+        deep = state(text)
+        assert str(deep) == text
+        assert deep.namespace == parts[:-1] and deep.local == parts[-1]
+        assert StateId(deep.namespace, deep.local) is deep
+        assert pickle.loads(pickle.dumps(deep)) is deep
 
 
 class TestFirstUse:
@@ -517,16 +555,3 @@ class TestOracleAgreement:
             automaton = random_automaton(rng)
             for w in lexicon:
                 assert accepts(automaton, w) == oracle_accepts(automaton, w)
-
-
-class TestPadAlphabet:
-    def test_language_unchanged(self, n2):
-        padded = pad_alphabet(n2, {letter("c")})
-        assert letter("c") in padded.alphabet
-        for text in ("", "a", "ab", "ba"):
-            assert accepts(padded, word(text)) == accepts(n2, word(text))
-        assert not accepts(padded, (letter("c"),))
-
-    def test_epsilon_rejected(self, n2):
-        with pytest.raises(ValueError):
-            pad_alphabet(n2, {EPSILON})

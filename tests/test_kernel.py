@@ -48,7 +48,6 @@ from nfalgebra import (
     equivalent,
     instantiate,
     letter,
-    pad_alphabet,
     parallel_verdicts,
     parse_expression,
     splits,
@@ -63,6 +62,7 @@ from nfalgebra.automaton import _gather, _Kernel
 
 from .oracles import (
     oracle_accepts,
+    padded,
     reference_determinize,
     reference_enumerate_language,
     reference_equivalent,
@@ -590,7 +590,7 @@ STRAY = Automaton(
     transitions={(S0, A): frozenset({S0}), (S0, EXTRA): frozenset({S0})},
     finals=frozenset({S0}),
 )
-WIDE = pad_alphabet(EPSILON_CYCLE, {EXTRA})
+WIDE = padded(EPSILON_CYCLE, {EXTRA})
 
 
 def rejection(*operands: Automaton) -> str | None:
@@ -703,10 +703,17 @@ class TestLetterKeys:
         "stray, shown", [("b", "b"), (letter("z"), "z"), (EPSILON, "eps")]
     )
     def test_a_stray_symbol_is_named(self, n1, stray, shown):
-        # A plain string is no letter, even when it spells one.
-        message = f"^symbol {shown} is not a letter of the alphabet$"
-        with pytest.raises(UnknownSymbolError, match=message):
+        # A plain string is no letter, even when it spells one: the error
+        # names the item and its type.  A Symbol's message is unchanged.
+        message = f"symbol {shown} is not a letter of the alphabet"
+        if stray.__class__ is str:
+            message = (
+                f"word item {shown!r} (str) is not a Symbol:"
+                " build words with word() or letter()"
+            )
+        with pytest.raises(UnknownSymbolError) as raised:
             accepts(n1, (letter("a"), stray, letter("a")))
+        assert str(raised.value) == message
 
 
 class TestCache:

@@ -31,7 +31,6 @@ from nfalgebra import (
     instantiate,
     leaf_devices,
     letter,
-    pad_alphabet,
     parallel_verdicts,
     parse_automaton,
     parse_expression,
@@ -45,7 +44,7 @@ from nfalgebra import trace as trace_module
 from nfalgebra.properties import all_words, random_automaton
 
 from . import oracles
-from .oracles import oracle_accepts, reference_control_trace, trace_payload
+from .oracles import oracle_accepts, padded, reference_control_trace, trace_payload
 from .strategies import expressions, leaf_devices as leaf_automata, words
 from .values import observed
 
@@ -404,7 +403,7 @@ class TestParallelVerdicts:
         for n in range(5):
             for input_word in map(word, map("".join, product("abc", repeat=n))):
                 want = tuple(
-                    oracle_accepts(pad_alphabet(x, union), input_word)
+                    oracle_accepts(padded(x, union), input_word)
                     for x in (n1, other)
                 )
                 assert parallel_verdicts(n1, other, input_word) == want
